@@ -1,14 +1,12 @@
-"""Bundled scenario templates and verification propositions."""
+"""Bundled verification propositions and model fixtures."""
 
 import json
 from importlib import resources
 from typing import List, Tuple
 
-from .scenario import Scenario, scenario_from_dict
 from .tree import GoalModel, model_from_dict
 from .verification import Proposition, proposition_from_dict
 
-SCENARIO_ASSETS = ("t_junction", "crossroad")
 SMT_PAIR_ASSETS = ("pair1", "pair2", "pair3")
 DESK_ASSETS = ("desk_separable", "desk_conjunction", "desk_nonmonotone")
 PROPOSITION_ASSETS = (
@@ -25,13 +23,6 @@ def asset_text(*parts: str) -> str:
     for part in parts:
         node = node.joinpath(part)
     return node.read_text(encoding="utf-8")
-
-
-def scenario_asset(name: str) -> Scenario:
-    """Load one of the bundled scenario templates by name."""
-    if name not in SCENARIO_ASSETS:
-        raise KeyError(f"no bundled scenario '{name}' (have: {', '.join(SCENARIO_ASSETS)})")
-    return scenario_from_dict(json.loads(asset_text(f"{name}.json")))
 
 
 def proposition_asset(name: str) -> Proposition:

@@ -11,12 +11,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .errors import GritError, TrajectoryError
 from .evaluation import (
     benchmark,
-    build_template,
     evaluate,
     generate_synthetic,
     template_names,
@@ -73,12 +72,6 @@ def build_parser() -> _Parser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: GRIT_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser(
@@ -319,11 +312,7 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     episodes = [load_trajectories(p, args.frame_rate) for p in args.trajectories]
     report = evaluate(
-        model,
-        episodes,
-        scenario,
-        include_baseline=args.baseline == "no-dt",
-        threads=args.threads,
+        model, episodes, scenario, include_baseline=args.baseline == "no-dt"
     )
     doc = report.to_dict()
     if not args.no_benchmark:
@@ -348,10 +337,9 @@ def cmd_eval(args) -> int:
             )
             print(line)
         if report.baseline_curve:
-            b0 = report.baseline_curve
             print(
                 "baseline (no trees) accuracy at 0.9: "
-                f"{[p for p in b0 if abs(p.fraction - 0.9) < 1e-9][0].accuracy:.3f}"
+                f"{report.accuracy_at(0.9, baseline=True):.3f}"
             )
         print(
             f"inference: {report.timing_mean_us:.0f} ± {report.timing_stderr_us:.0f} "

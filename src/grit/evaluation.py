@@ -12,17 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import GritError, ScenarioError, TrajectoryError
 from .geometry import Polyline, wrap_heading
-from .inference import GoalPosterior, infer, infer_no_dt
+from .inference import infer, infer_no_dt
 from .scenario import Scenario, scenario_from_dict
 from .trajectory import (
     FRACTION_GRID,
@@ -49,19 +47,6 @@ CROSSROAD_MIX: Dict[str, float] = {
     "G_south": 0.15,
     "G_west": 0.20,
 }
-
-
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Explicit value, else the GRIT_THREADS environment variable, else 1."""
-    if threads is None:
-        raw = os.environ.get("GRIT_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise GritError(f"GRIT_THREADS must be an integer, got {raw!r}") from exc
-    if threads < 1:
-        raise GritError("thread count must be at least 1")
-    return threads
 
 
 # -- scene templates ----------------------------------------------------------------
@@ -213,28 +198,29 @@ def crossroad_dict() -> dict:
     }
 
 
-_TEMPLATE_DICTS: Dict[str, Callable[[], dict]] = {
-    "t_junction": t_junction_dict,
-    "crossroad": crossroad_dict,
-}
-
-_TEMPLATE_MIXES: Dict[str, Dict[str, float]] = {
-    "t_junction": T_JUNCTION_MIX,
-    "crossroad": CROSSROAD_MIX,
+# name -> (lane-graph builder, default goal mix)
+_TEMPLATES: Dict[str, Tuple[Callable[[], dict], Dict[str, float]]] = {
+    "t_junction": (t_junction_dict, T_JUNCTION_MIX),
+    "crossroad": (crossroad_dict, CROSSROAD_MIX),
 }
 
 
 def template_names() -> List[str]:
-    return sorted(_TEMPLATE_DICTS)
+    return sorted(_TEMPLATES)
 
 
-def build_template(name: str) -> Scenario:
+def _template(name: str) -> Tuple[Callable[[], dict], Dict[str, float]]:
     key = name.replace("-", "_")
-    if key not in _TEMPLATE_DICTS:
+    if key not in _TEMPLATES:
         raise ScenarioError(
             f"unknown template '{name}' (have: {', '.join(template_names())})"
         )
-    return scenario_from_dict(_TEMPLATE_DICTS[key]())
+    return _TEMPLATES[key]
+
+
+def build_template(name: str) -> Scenario:
+    layout, _ = _template(name)
+    return scenario_from_dict(layout())
 
 
 # -- synthetic trajectories ----------------------------------------------------------
@@ -265,23 +251,8 @@ def _blend_waypoints(
     return pts
 
 
-def _t_junction_path(goal_id: str, rng: np.random.Generator) -> List[Tuple[float, float]]:
-    if goal_id == "G_east":
-        return [(-100.0, -6.0), (-10.0, -6.0), (100.0, -6.0)]
-    if goal_id == "G_west":
-        return [(100.0, 2.0), (10.0, 2.0), (-100.0, 2.0)]
-    if goal_id == "G_north":
-        d_change = float(rng.uniform(20.0, 48.0))
-        pts = _blend_waypoints(-100.0, -6.0, -2.0, -100.0 + d_change, -10.0)
-        pts += [
-            (p[0], p[1]) for p in _arc(-10.0, 10.0, 12.0, -math.pi / 2, 0.0, 13)[1:]
-        ]
-        pts += [(2.0, 35.0), (2.0, 60.0)]
-        return pts
-    raise ScenarioError(f"template has no path to goal '{goal_id}'")
-
-
-def _crossroad_path(goal_id: str, rng: np.random.Generator) -> List[Tuple[float, float]]:
+def _goal_path(goal_id: str, rng: np.random.Generator) -> List[Tuple[float, float]]:
+    """Waypoints to one goal; both templates share these lanes."""
     if goal_id == "G_east":
         return [(-100.0, -6.0), (-10.0, -6.0), (100.0, -6.0)]
     if goal_id == "G_west":
@@ -302,12 +273,6 @@ def _crossroad_path(goal_id: str, rng: np.random.Generator) -> List[Tuple[float,
         pts += [(-2.0, -35.0), (-2.0, -60.0)]
         return pts
     raise ScenarioError(f"template has no path to goal '{goal_id}'")
-
-
-_TEMPLATE_PATHS: Dict[str, Callable[[str, np.random.Generator], List[Tuple[float, float]]]] = {
-    "t_junction": _t_junction_path,
-    "crossroad": _crossroad_path,
-}
 
 
 def _speed_profile(path: Polyline, v_max: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -404,14 +369,9 @@ def generate_synthetic(
         raise GritError("vehicle count must be at least 1")
     if vehicles_per_episode < 1:
         raise GritError("vehicles per episode must be at least 1")
-    key = template.replace("-", "_")
-    if key not in _TEMPLATE_DICTS:
-        raise ScenarioError(
-            f"unknown template '{template}' (have: {', '.join(template_names())})"
-        )
-    scenario = build_template(key)
-    path_fn = _TEMPLATE_PATHS[key]
-    mix = dict(goal_mix) if goal_mix is not None else dict(_TEMPLATE_MIXES[key])
+    layout, default_mix = _template(template)
+    scenario = scenario_from_dict(layout())
+    mix = dict(goal_mix if goal_mix is not None else default_mix)
     goal_ids = sorted(mix)
     if not goal_ids:
         raise GritError("goal mix must not be empty")
@@ -436,7 +396,7 @@ def generate_synthetic(
         for _ in range(batch):
             goal_id = goal_ids[int(rng.choice(len(goal_ids), p=weights))]
             v_max = float(rng.uniform(8.0, 12.0))
-            waypoints = path_fn(goal_id, rng)
+            waypoints = _goal_path(goal_id, rng)
             gap = int(rng.integers(15, 45))
             path = Polyline(waypoints)
             states = _roll_out(path, v_max, spawn, frame_rate, rng)
@@ -479,19 +439,18 @@ class EvalReport:
     n_vehicles: int = 0
     n_inferences: int = 0
 
-    def accuracy_at(self, fraction: float, baseline: bool = False) -> float:
+    def _point_at(self, fraction: float, baseline: bool = False) -> CurvePoint:
         curve = self.baseline_curve if baseline else self.curve
         for point in curve or []:
             if abs(point.fraction - fraction) < 1e-9:
-                return point.accuracy
+                return point
         raise GritError(f"no curve point at fraction {fraction}")
 
+    def accuracy_at(self, fraction: float, baseline: bool = False) -> float:
+        return self._point_at(fraction, baseline).accuracy
+
     def entropy_at(self, fraction: float, baseline: bool = False) -> float:
-        curve = self.baseline_curve if baseline else self.curve
-        for point in curve or []:
-            if abs(point.fraction - fraction) < 1e-9:
-                return point.entropy
-        raise GritError(f"no curve point at fraction {fraction}")
+        return self._point_at(fraction, baseline).entropy
 
     def to_dict(self) -> dict:
         doc = {
@@ -604,46 +563,25 @@ def evaluate(
     episodes: Sequence[Episode],
     scenario: Scenario,
     include_baseline: bool = False,
-    threads: Optional[int] = None,
 ) -> EvalReport:
     """Accuracy and normalized-entropy curves over the 11-fraction grid.
 
     Each goal-reaching vehicle contributes one truncated inference per
-    fraction; argmax ties count as incorrect. Vehicles are evaluated in
-    parallel when threads > 1, with aggregation in a fixed order so the
-    report is identical either way.
+    fraction; argmax ties count as incorrect. Vehicles are aggregated in
+    (episode index, vehicle id) order.
     """
-    threads = resolve_threads(threads)
-    tasks: List[Tuple[int, str]] = []
-    for e, episode in enumerate(episodes):
-        for vehicle_id in episode.agent_ids():
-            tasks.append((e, vehicle_id))
+    tasks = sorted(
+        (e, vehicle_id)
+        for e, episode in enumerate(episodes)
+        for vehicle_id in episode.agent_ids()
+    )
     if not tasks:
         raise TrajectoryError("no vehicles to evaluate")
-
-    results: Dict[Tuple[int, str], Optional[_VehicleEval]] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                key: pool.submit(
-                    _evaluate_vehicle,
-                    episodes[key[0]],
-                    key[1],
-                    scenario,
-                    model,
-                    include_baseline,
-                )
-                for key in tasks
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    else:
-        for key in tasks:
-            results[key] = _evaluate_vehicle(
-                episodes[key[0]], key[1], scenario, model, include_baseline
-            )
-
-    rows = [results[key] for key in sorted(results) if results[key] is not None]
+    rows: List[_VehicleEval] = []
+    for e, vehicle_id in tasks:
+        row = _evaluate_vehicle(episodes[e], vehicle_id, scenario, model, include_baseline)
+        if row is not None:
+            rows.append(row)
     if not rows:
         raise TrajectoryError("no vehicle reaches a goal; nothing to evaluate")
 

@@ -278,30 +278,3 @@ def extract_all(
         )
     return out
 
-
-def extract_features(
-    history,
-    vehicle_id: str,
-    route: Route,
-    scenario: Scenario,
-    reference: Optional[Route] = None,
-) -> FeatureVector:
-    """Feature vector for a single goal.
-
-    When scoring several goals of one vehicle, use extract_all so shared
-    features are computed once; reference overrides the route used for the
-    traffic features.
-    """
-    subject = history.trajectories[vehicle_id][-1]
-    ref = reference if reference is not None else route
-    vif_dist, vif_speed = vehicle_in_front(history, vehicle_id, ref, scenario)
-    return FeatureVector(
-        path_to_goal_length=route.length,
-        in_correct_lane=in_correct_lane(route.start_lane, route.goal, scenario),
-        speed=subject.speed,
-        acceleration=subject.acceleration,
-        angle_in_lane=angle_in_lane(subject, scenario),
-        vehicle_in_front_dist=vif_dist,
-        vehicle_in_front_speed=vif_speed,
-        oncoming_vehicle_dist=oncoming_vehicle(history, vehicle_id, ref, scenario),
-    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .errors import TrajectoryError
 from .features import extract_all
@@ -106,12 +106,70 @@ class GoalPosterior:
         }
 
 
-def _scoped_priors(model: GoalModel, pairs: Sequence[PairKey]) -> List[float]:
-    raw = [model.prior_for(pair) for pair in pairs]
+def scoped_priors(model: GoalModel, scope: Sequence[PairKey]) -> List[float]:
+    """Model priors of the pairs in scope, renormalized to sum to one.
+
+    An all-zero scope falls back to uniform; an empty scope gives [].
+    """
+    raw = [model.prior_for(pair) for pair in scope]
     total = sum(raw)
     if total <= 0.0:
         return [1.0 / len(raw)] * len(raw) if raw else []
     return [p / total for p in raw]
+
+
+def _lap(timings: Optional[Dict[str, float]], stage: str, t0: float) -> float:
+    """Add the time since t0 to timings[stage]; return the new start time."""
+    t1 = time.perf_counter()
+    if timings is not None:
+        timings[stage] = timings.get(stage, 0.0) + (t1 - t0)
+    return t1
+
+
+def _infer(
+    history: Episode,
+    vehicle_id: str,
+    scenario: Scenario,
+    model: GoalModel,
+    use_trees: bool,
+    timings: Optional[Dict[str, float]] = None,
+) -> GoalPosterior:
+    """Body of infer; with use_trees False every candidate scores 0.5."""
+    if vehicle_id not in history.trajectories:
+        raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
+    state = history.trajectories[vehicle_id][-1]
+
+    t0 = time.perf_counter()
+    routes = reachable_goals(state, scenario)
+    t0 = _lap(timings, "goal_generation", t0)
+    if not routes:
+        return GoalPosterior(status=STATUS_NO_GOALS)
+
+    pairs = [
+        (route.goal.goal_id, assign_goal_type(state, route, scenario)) for route in routes
+    ]
+    trees = [model.trees.get(pair) if use_trees else None for pair in pairs]
+    if any(tree is not None for tree in trees):
+        feats = extract_all(history, vehicle_id, routes, scenario)
+    t0 = _lap(timings, "features", t0)
+
+    likelihoods = [
+        0.5 if tree is None else traverse(tree, feats[gid].imputed(model.metadata))[0]
+        for (gid, _), tree in zip(pairs, trees)
+    ]
+    t0 = _lap(timings, "traversal", t0)
+
+    priors = scoped_priors(model, pairs)
+    probs = posterior(likelihoods, priors)
+    entries = sorted(
+        (
+            GoalEstimate(gid, gtype, like, prior, prob)
+            for (gid, gtype), like, prior, prob in zip(pairs, likelihoods, priors, probs)
+        ),
+        key=lambda e: (e.goal_id, e.goal_type.value),
+    )
+    _lap(timings, "posterior", t0)
+    return GoalPosterior(status=STATUS_OK, entries=entries)
 
 
 def infer(
@@ -129,60 +187,7 @@ def infer(
     accumulate per-stage wall-clock seconds (goal_generation, features,
     traversal, posterior).
     """
-    if vehicle_id not in history.trajectories:
-        raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
-    state = history.trajectories[vehicle_id][-1]
-
-    t0 = time.perf_counter()
-    routes = reachable_goals(state, scenario)
-    t1 = time.perf_counter()
-    if timings is not None:
-        timings["goal_generation"] = timings.get("goal_generation", 0.0) + (t1 - t0)
-    if not routes:
-        return GoalPosterior(status=STATUS_NO_GOALS)
-
-    t0 = time.perf_counter()
-    feats = extract_all(history, vehicle_id, routes, scenario)
-    pairs: List[Tuple[PairKey, str]] = []
-    for route in routes:
-        gtype = assign_goal_type(state, route, scenario)
-        pairs.append(((route.goal.goal_id, gtype), route.goal.goal_id))
-    t1 = time.perf_counter()
-    if timings is not None:
-        timings["features"] = timings.get("features", 0.0) + (t1 - t0)
-
-    t0 = time.perf_counter()
-    likelihoods: List[float] = []
-    for pair, goal_id in pairs:
-        tree = model.trees.get(pair)
-        if tree is None:
-            likelihoods.append(0.5)
-            continue
-        x = feats[goal_id].imputed(model.metadata)
-        like, _ = traverse(tree, x)
-        likelihoods.append(like)
-    t1 = time.perf_counter()
-    if timings is not None:
-        timings["traversal"] = timings.get("traversal", 0.0) + (t1 - t0)
-
-    t0 = time.perf_counter()
-    priors = _scoped_priors(model, [pair for pair, _ in pairs])
-    probs = posterior(likelihoods, priors)
-    order = sorted(range(len(pairs)), key=lambda i: (pairs[i][0][0], pairs[i][0][1].value))
-    entries = [
-        GoalEstimate(
-            goal_id=pairs[i][0][0],
-            goal_type=pairs[i][0][1],
-            likelihood=likelihoods[i],
-            prior=priors[i],
-            probability=probs[i],
-        )
-        for i in order
-    ]
-    t1 = time.perf_counter()
-    if timings is not None:
-        timings["posterior"] = timings.get("posterior", 0.0) + (t1 - t0)
-    return GoalPosterior(status=STATUS_OK, entries=entries)
+    return _infer(history, vehicle_id, scenario, model, True, timings)
 
 
 def infer_no_dt(
@@ -192,27 +197,4 @@ def infer_no_dt(
     model: GoalModel,
 ) -> GoalPosterior:
     """Reachability-plus-priors baseline: every candidate gets likelihood 0.5."""
-    if vehicle_id not in history.trajectories:
-        raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
-    state = history.trajectories[vehicle_id][-1]
-    routes = reachable_goals(state, scenario)
-    if not routes:
-        return GoalPosterior(status=STATUS_NO_GOALS)
-    pair_list: List[PairKey] = []
-    for route in routes:
-        gtype = assign_goal_type(state, route, scenario)
-        pair_list.append((route.goal.goal_id, gtype))
-    priors = _scoped_priors(model, pair_list)
-    probs = posterior([0.5] * len(pair_list), priors)
-    order = sorted(range(len(pair_list)), key=lambda i: (pair_list[i][0], pair_list[i][1].value))
-    entries = [
-        GoalEstimate(
-            goal_id=pair_list[i][0],
-            goal_type=pair_list[i][1],
-            likelihood=0.5,
-            prior=priors[i],
-            probability=probs[i],
-        )
-        for i in order
-    ]
-    return GoalPosterior(status=STATUS_OK, entries=entries)
+    return _infer(history, vehicle_id, scenario, model, False)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import ModelError
 from .features import (
@@ -215,6 +215,8 @@ class GoalModel:
     def validate(self) -> None:
         if not self.trees:
             raise ModelError("model has no trees")
+        if self.prior_floor < 0 or not math.isfinite(self.prior_floor):
+            raise ModelError("prior floor is invalid")
         total = 0.0
         for pair, p in self.priors.items():
             if p < 0 or not math.isfinite(p):
@@ -255,7 +257,7 @@ def _validate_node(node: TreeNode, tree_label: str, where: str) -> None:
         (False, node.false_child, node.false_weight),
     ):
         expected = node.likelihood * weight
-        if abs(child.likelihood - expected) > _WEIGHT_TOL:
+        if not math.isfinite(weight) or abs(child.likelihood - expected) > _WEIGHT_TOL:
             raise ModelError(
                 f"tree {tree_label}: node {where}.{str(branch).lower()} likelihood "
                 f"{child.likelihood!r} != parent * weight = {expected!r}"
@@ -284,11 +286,21 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc: dict, label: str) -> TreeNode:
+def _number(doc: dict, key: str, what: str) -> float:
     try:
-        likelihood = float(doc["L"])
+        return float(doc[key])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"tree {label}: node missing likelihood") from exc
+        raise ModelError(f"{what} is missing or not a number") from exc
+
+
+def _object(raw: object, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ModelError(f"{what} must be a JSON object")
+    return raw
+
+
+def _node_from_dict(doc: dict, label: str) -> TreeNode:
+    likelihood = _number(doc, "L", f"tree {label}: node likelihood")
     if "rule" not in doc:
         return TreeNode(likelihood=likelihood)
     rule_doc = doc["rule"]
@@ -298,7 +310,9 @@ def _node_from_dict(doc: dict, label: str) -> TreeNode:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"tree {label}: malformed rule") from exc
     if op == "gt":
-        rule = DecisionRule(feature, "threshold", float(rule_doc["value"]))
+        rule = DecisionRule(
+            feature, "threshold", _number(rule_doc, "value", f"tree {label}: rule value")
+        )
     elif op == "is":
         rule = DecisionRule(feature, "boolean")
     else:
@@ -309,8 +323,8 @@ def _node_from_dict(doc: dict, label: str) -> TreeNode:
             rule=rule,
             true_child=_node_from_dict(doc["true"], label),
             false_child=_node_from_dict(doc["false"], label),
-            true_weight=float(doc["w_true"]),
-            false_weight=float(doc["w_false"]),
+            true_weight=_number(doc, "w_true", f"tree {label}: true-branch weight"),
+            false_weight=_number(doc, "w_false", f"tree {label}: false-branch weight"),
         )
     except KeyError as exc:
         raise ModelError(f"tree {label}: internal node missing {exc}") from exc
@@ -338,30 +352,27 @@ def model_from_dict(raw: dict) -> GoalModel:
         raise ModelError("not a model file")
     try:
         metadata = FeatureMetadata.from_dict(raw["features"])
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed feature metadata: {exc}") from exc
     trees: Dict[PairKey, TreeNode] = {}
-    for gid, by_type in raw.get("trees", {}).items():
-        for type_name, doc in by_type.items():
+    for gid, by_type in _object(raw.get("trees", {}), "trees").items():
+        for type_name, doc in _object(by_type, f"trees of {gid}").items():
             try:
                 gtype = GoalType(type_name)
             except ValueError as exc:
                 raise ModelError(f"unknown goal type '{type_name}'") from exc
             trees[(gid, gtype)] = _node_from_dict(doc, f"{gid}:{type_name}")
     priors: Dict[PairKey, float] = {}
-    for gid, by_type in raw.get("priors", {}).items():
-        for type_name, p in by_type.items():
+    for gid, by_type in _object(raw.get("priors", {}), "priors").items():
+        for type_name in _object(by_type, f"priors of {gid}"):
             try:
                 gtype = GoalType(type_name)
             except ValueError as exc:
                 raise ModelError(f"unknown goal type '{type_name}'") from exc
-            priors[(gid, gtype)] = float(p)
-    model = GoalModel(
-        trees=trees,
-        priors=priors,
-        metadata=metadata,
-        prior_floor=float(raw.get("prior_floor", 0.0)),
-    )
+            what = f"prior of {gid}:{type_name}"
+            priors[(gid, gtype)] = _number(by_type, type_name, what)
+    floor = _number(raw, "prior_floor", "prior floor") if "prior_floor" in raw else 0.0
+    model = GoalModel(trees=trees, priors=priors, metadata=metadata, prior_floor=floor)
     model.validate()
     return model
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import PropositionError
 from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
-from .inference import posterior
+from .inference import posterior, scoped_priors
 from .scenario import GoalType
 from .tree import GoalModel, PairKey, TreeNode, traverse
 
@@ -464,14 +464,6 @@ def _violation(
     if pg < consequent.threshold:
         return f"P({consequent.goal}) = {pg:.6g} < {consequent.threshold:g}"
     return None
-
-
-def scoped_priors(model: GoalModel, scope: Sequence[PairKey]) -> List[float]:
-    raw = [model.prior_for(pair) for pair in scope]
-    total = sum(raw)
-    if total <= 0.0:
-        return [1.0 / len(raw)] * len(raw)
-    return [p / total for p in raw]
 
 
 def verify(model: GoalModel, prop: Proposition) -> VerificationResult:

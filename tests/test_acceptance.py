@@ -48,7 +48,6 @@ def eval_report(fixture_model, test_episodes, fixture_scenario):
         test_episodes,
         fixture_scenario,
         include_baseline=True,
-        threads=1,
     )
 
 

@@ -112,6 +112,8 @@ def test_synth_rejects_nonpositive_vehicle_count(tmp_path, capsys):
          "--grid", "gamma=1.0"],
         ["train", "--scenario", "s", "--trajectories", "t", "--out", "m",
          "--grid", "alpha=abc"],
+        ["eval", "--scenario", "s", "--model", "m", "--trajectories", "t",
+         "--out", "r", "--threads", "2"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -318,6 +320,17 @@ def test_verify_refuted_exit_3_with_witness_table(verify_assets, capsys):
     assert "reason:" in out
     assert "G_a:straight_on" in out and "G_b:turn_left" in out
     assert "likelihood" in out and "probability" in out
+
+
+def test_verify_malformed_model_exit_2(verify_assets, tmp_path, capsys):
+    doc = json.loads(verify_assets["model"].read_text())
+    del doc["trees"]["G_a"]["straight_on"]["rule"]["value"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_json_matches_library_result(verify_assets, capsys):

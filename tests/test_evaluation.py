@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -9,11 +11,17 @@ from grit.evaluation import (
     build_template,
     evaluate,
     generate_synthetic,
-    resolve_threads,
     template_names,
 )
-from grit.scenario import GoalSpec, Lane, Scenario
-from grit.trajectory import FRACTION_GRID, AgentState, Episode, first_goal_entry, ground_truth_goal
+from grit.scenario import GoalSpec, Lane, Scenario, scenario_to_dict
+from grit.trajectory import (
+    FRACTION_GRID,
+    AgentState,
+    Episode,
+    first_goal_entry,
+    ground_truth_goal,
+    save_trajectories,
+)
 
 from conftest import FIXTURE_SEED, FIXTURE_TEMPLATE, FIXTURE_VEHICLES
 
@@ -43,7 +51,28 @@ def test_crossroad_template_counts():
 # -- synthetic generation ----------------------------------------------------------
 
 
-def test_generate_synthetic_is_deterministic():
+# SHA-256 of the scenario JSON plus every episode CSV for 30 vehicles at
+# seed 11, recorded before the templates moved into one table; any change to
+# the layouts, goal paths or random draws moves them.
+SYNTHETIC_DIGESTS = {
+    "t_junction": "076523664dbd369292c811db624f7d2307670d6a5660bad4b35a8bef60c35249",
+    "crossroad": "65b76068598fded7da6d1eff11b1d7d763c5830f3a4b4984ca45bb2e40487988",
+}
+
+
+def _synthetic_digest(template, tmp_path):
+    scenario, episodes = generate_synthetic(template, 30, seed=11)
+    digest = hashlib.sha256(
+        json.dumps(scenario_to_dict(scenario), sort_keys=True).encode()
+    )
+    for i, episode in enumerate(episodes):
+        path = tmp_path / f"{template}_{i}.csv"
+        save_trajectories(episode, path)
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_generate_synthetic_is_deterministic(tmp_path):
     _, first = generate_synthetic("t_junction", 30, seed=11)
     _, second = generate_synthetic("t_junction", 30, seed=11)
     assert len(first) == len(second)
@@ -51,6 +80,8 @@ def test_generate_synthetic_is_deterministic():
         assert a.trajectories == b.trajectories
     _, other_seed = generate_synthetic("t_junction", 30, seed=12)
     assert first[0].trajectories != other_seed[0].trajectories
+    for template, digest in SYNTHETIC_DIGESTS.items():
+        assert _synthetic_digest(template, tmp_path) == digest, template
 
 
 def test_generate_synthetic_fixture_shape(fixture_world):
@@ -108,32 +139,13 @@ def test_generate_synthetic_rejects_bad_arguments():
         )
 
 
-# -- thread resolution ----------------------------------------------------------------
-
-
-def test_resolve_threads(monkeypatch):
-    monkeypatch.delenv("GRIT_THREADS", raising=False)
-    assert resolve_threads() == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("GRIT_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2
-    monkeypatch.setenv("GRIT_THREADS", "lots")
-    with pytest.raises(GritError):
-        resolve_threads()
-    with pytest.raises(GritError):
-        resolve_threads(0)
-
-
 # -- evaluation --------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def eval_report(fixture_model, fixture_world):
     scenario, episodes = fixture_world
-    return evaluate(
-        fixture_model, episodes[8:], scenario, include_baseline=True, threads=1
-    )
+    return evaluate(fixture_model, episodes[8:], scenario, include_baseline=True)
 
 
 def test_evaluate_curve_shape(eval_report):
@@ -158,22 +170,6 @@ def test_evaluate_trees_beat_prior_baseline_late(eval_report):
         eval_report.accuracy_at(0.55)
     with pytest.raises(GritError):
         eval_report.entropy_at(-1.0)
-
-
-def test_evaluate_thread_count_does_not_change_results(
-    fixture_model, fixture_world, eval_report
-):
-    scenario, episodes = fixture_world
-    threaded = evaluate(
-        fixture_model, episodes[8:], scenario, include_baseline=True, threads=4
-    )
-    # wall-clock timings differ run to run; everything derived from the
-    # posteriors must not
-    serial, parallel = eval_report.to_dict(), threaded.to_dict()
-    for doc in (serial, parallel):
-        doc.pop("timing_mean_us")
-        doc.pop("timing_stderr_us")
-    assert parallel == serial
 
 
 def test_evaluate_report_serializations(eval_report):

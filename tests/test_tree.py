@@ -289,6 +289,38 @@ def test_model_from_dict_rejects_malformed_documents():
     with pytest.raises(ModelError):
         model_from_dict(no_likelihood)
 
+    no_rule_value = json.loads(json.dumps(good))
+    del no_rule_value["trees"]["G_a"]["straight_on"]["rule"]["value"]
+    with pytest.raises(ModelError):
+        model_from_dict(no_rule_value)
+
+    for key in ("trees", "priors"):
+        not_an_object = json.loads(json.dumps(good))
+        not_an_object[key] = []
+        with pytest.raises(ModelError):
+            model_from_dict(not_an_object)
+
+    text_prior = json.loads(json.dumps(good))
+    text_prior["priors"]["G_a"]["straight_on"] = "most"
+    with pytest.raises(ModelError):
+        model_from_dict(text_prior)
+
+    for floor in ("low", float("nan")):
+        bad_floor = json.loads(json.dumps(good))
+        bad_floor["prior_floor"] = floor
+        with pytest.raises(ModelError):
+            model_from_dict(bad_floor)
+
+    list_domains = json.loads(json.dumps(good))
+    list_domains["features"]["domains"] = []
+    with pytest.raises(ModelError):
+        model_from_dict(list_domains)
+
+    nan_weight = json.loads(json.dumps(good))
+    nan_weight["trees"]["G_a"]["straight_on"]["w_true"] = float("nan")
+    with pytest.raises(ModelError):
+        model_from_dict(nan_weight)
+
 
 def test_load_model_io_errors(tmp_path):
     with pytest.raises(ModelError):

@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import grit.inference
+import grit.verification
 from grit.errors import PropositionError
 from grit.assets import proposition_assets, smt_pair_assets
 from grit.features import DEFAULT_METADATA, FEATURE_NAMES
@@ -458,6 +460,9 @@ def test_scoped_priors_fall_back_to_uniform():
         trees={A: TreeNode(likelihood=0.5)}, priors={}, prior_floor=0.0
     )
     assert scoped_priors(empty, [A, B]) == [0.5, 0.5]
+    assert scoped_priors(model, []) == []
+    assert scoped_priors(empty, []) == []
+    assert grit.verification.scoped_priors is grit.inference.scoped_priors
 
 
 def test_bundled_propositions_replay_their_witnesses(fixture_model):
