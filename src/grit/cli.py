@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -157,27 +158,43 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _split_datasets(episodes, scenario, val_split):
+def _holdout(episodes, val_split) -> Tuple[Set[Tuple[int, str]], int]:
+    """Vehicles the grid search validates on, and the first held-out episode.
+
+    Two or more episodes hold out the last ones whole; a single episode
+    holds out the vehicles last in id order.
+    """
     if not (0.0 < val_split < 1.0):
         raise GritError("--val-split must lie strictly between 0 and 1")
     n = len(episodes)
     if n >= 2:
-        k = min(n - 1, max(1, round(val_split * n)))
-        return (
-            build_datasets(episodes[: n - k], scenario),
-            build_datasets(episodes[n - k :], scenario),
-        )
+        first = n - min(n - 1, max(1, round(val_split * n)))
+        return {(e, a) for e in range(first, n) for a in episodes[e].agent_ids()}, first
     agents = episodes[0].agent_ids()
     k = min(len(agents) - 1, max(1, round(val_split * len(agents))))
     if k < 1:
         raise GritError("not enough vehicles to hold out a validation split")
-    cut = len(agents) - k
-    train_filter: Set[Tuple[int, str]] = {(0, a) for a in agents[:cut]}
-    val_filter: Set[Tuple[int, str]] = {(0, a) for a in agents[cut:]}
-    return (
-        build_datasets(episodes, scenario, agent_filter=train_filter),
-        build_datasets(episodes, scenario, agent_filter=val_filter),
-    )
+    return {(0, a) for a in agents[len(agents) - k :]}, 0
+
+
+def _split_datasets(datasets, held, first):
+    """Train and validation buckets cut from build_datasets over all episodes.
+
+    Samples are bucketed again in the order build_datasets emits them
+    (episode, vehicle, frame, goal), so each split equals build_datasets run
+    on that split alone, bucket order included. Validation episodes are
+    renumbered from 0.
+    """
+    samples = [s for bucket in datasets.values() for s in bucket]
+    samples.sort(key=lambda s: (s.episode_index, s.agent_id, s.frame_index, s.goal_id))
+    train, val = {}, {}
+    for s in samples:
+        split = train
+        if (s.episode_index, s.agent_id) in held:
+            s = replace(s, episode_index=s.episode_index - first)
+            split = val
+        split.setdefault((s.goal_id, s.goal_type), []).append(s)
+    return train, val
 
 
 def cmd_train(args) -> int:
@@ -192,9 +209,10 @@ def cmd_train(args) -> int:
         datasets = build_datasets(episodes, scenario)
         if not datasets:
             raise GritError("no vehicle reaches a goal; nothing to train on")
-        model = train_model(datasets, config)
     else:
-        train_ds, val_ds = _split_datasets(episodes, scenario, args.val_split)
+        held, first = _holdout(episodes, args.val_split)
+        datasets = build_datasets(episodes, scenario)
+        train_ds, val_ds = _split_datasets(datasets, held, first)
         if not train_ds or not val_ds:
             raise GritError("no vehicle reaches a goal; nothing to train on")
         search = grid_search(train_ds, val_ds, alphas=alphas, ccp_alphas=ccps)
@@ -203,8 +221,7 @@ def cmd_train(args) -> int:
             {"alpha": r.config.alpha, "ccp_alpha": r.config.ccp_alpha, "loss": r.loss}
             for r in search.results
         ]
-        datasets = build_datasets(episodes, scenario)
-        model = train_model(datasets, config)
+    model = train_model(datasets, config)
     save_model(model, args.out)
     doc = {
         "out": args.out,

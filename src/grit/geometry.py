@@ -7,7 +7,7 @@ used for the angle-in-lane feature live on [-pi, pi).
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,7 @@ class Polyline:
         self._seg_len_sq = seg_len * seg_len
         self.cum_length = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.length = float(self.cum_length[-1])
+        self._tangents = [math.atan2(dy, dx) for dx, dy in seg.tolist()]
 
     def project(self, x: float, y: float) -> Tuple[float, float]:
         """Nearest point on the polyline.
@@ -84,12 +85,45 @@ class Polyline:
         tie rule used by :meth:`project`.
         """
         s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cum_length, s, side="left")) - 1
-        i = min(max(i, 0), len(self._seg) - 1)
-        return math.atan2(self._seg[i, 1], self._seg[i, 0])
+        i = int(self.cum_length.searchsorted(s, side="left")) - 1
+        return self._tangents[min(max(i, 0), len(self._tangents) - 1)]
 
     def segment_headings(self) -> np.ndarray:
         return np.arctan2(self._seg[:, 1], self._seg[:, 0])
+
+
+class PolylineSet:
+    """Segment tables of several polylines stacked for one-pass projection."""
+
+    def __init__(self, polylines: Sequence[Polyline]):
+        self._start = np.concatenate([p.points[:-1] for p in polylines])
+        self._seg = np.concatenate([p._seg for p in polylines])
+        self._seg_len = np.concatenate([p._seg_len for p in polylines])
+        self._seg_len_sq = np.concatenate([p._seg_len_sq for p in polylines])
+        self._seg_s = np.concatenate([p.cum_length[:-1] for p in polylines])
+        counts = [len(p._seg) for p in polylines]
+        self._first = np.cumsum([0] + counts[:-1])
+        self._owner = np.repeat(np.arange(len(counts)), counts)
+
+    def project(self, x: float, y: float) -> Tuple[List[float], List[float]]:
+        """:meth:`Polyline.project` of (x, y) onto every polyline, in order.
+
+        Returns (arclengths, distances). The elementwise expressions are
+        those of :meth:`Polyline.project`, and each polyline's pick is the
+        first segment reaching its minimum (the first NaN if any), as
+        ``np.argmin`` picks, so every value is bit-equal to the per-polyline
+        call.
+        """
+        p = np.array([x, y])
+        rel = p - self._start
+        t = ((rel * self._seg).sum(axis=1) / self._seg_len_sq).clip(0.0, 1.0)
+        closest = self._start + t[:, None] * self._seg
+        d = np.hypot(closest[:, 0] - x, closest[:, 1] - y)
+        d_min = np.minimum.reduceat(d, self._first)
+        hits = ((d == d_min[self._owner]) | np.isnan(d)).nonzero()[0]
+        i = hits[hits.searchsorted(self._first)]
+        s = self._seg_s[i] + t[i] * self._seg_len[i]
+        return s.tolist(), d[i].tolist()
 
 
 def cumulative_heading_change(

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import ScenarioError
 from .geometry import (
     Polyline,
+    PolylineSet,
     cumulative_heading_change,
     polyline_crossing,
     wrap_heading,
@@ -131,7 +132,9 @@ class Scenario:
             except ValueError as exc:
                 raise ScenarioError(f"lane '{lane.lane_id}': {exc}") from exc
         self._validate_refs()
-        self._goal_lanes = self._project_goals()
+        self._lane_ids = sorted(self.lanes)
+        self._segments = PolylineSet([self._poly[lid] for lid in self._lane_ids])
+        self._goal_lanes, self._goal_anchors = self._project_goals()
         self._conflict_map = self._locate_conflicts()
 
     # -- validation and caches -------------------------------------------
@@ -159,14 +162,21 @@ class Scenario:
             if not (math.isfinite(goal.x) and math.isfinite(goal.y)):
                 raise ScenarioError(f"goal '{goal.goal_id}' has non-finite location")
 
-    def _project_goals(self) -> Dict[str, List[Tuple[str, float, float]]]:
+    def _project_goals(
+        self,
+    ) -> Tuple[Dict[str, List[Tuple[str, float, float]]], Dict[str, Tuple[str, float]]]:
+        """Lanes within each goal's radius, and each goal's anchor."""
         table: Dict[str, List[Tuple[str, float, float]]] = {}
+        anchors: Dict[str, Tuple[str, float]] = {}
         for goal in self.goals:
             rows: List[Tuple[str, float, float]] = []
             best = math.inf
-            for lid in sorted(self.lanes):
+            anchor: Optional[Tuple[float, str, float]] = None
+            for lid in self._lane_ids:
                 s, d = self._poly[lid].project(goal.x, goal.y)
                 best = min(best, d)
+                if anchor is None or d < anchor[0] - _DIST_TIE:
+                    anchor = (d, lid, s)
                 if d <= goal.radius:
                     rows.append((lid, s, d))
             if best > GOAL_OFFROAD_LIMIT:
@@ -175,7 +185,8 @@ class Scenario:
                     f"lane centerline (limit {GOAL_OFFROAD_LIMIT:.1f} m)"
                 )
             table[goal.goal_id] = rows
-        return table
+            anchors[goal.goal_id] = (anchor[1], anchor[2])
+        return table, anchors
 
     def _locate_conflicts(self) -> Dict[str, List[Tuple[str, float]]]:
         table: Dict[str, List[Tuple[str, float]]] = {}
@@ -204,14 +215,12 @@ class Scenario:
         return self._conflict_map.get(lane_id, [])
 
     def goal_anchor(self, goal: GoalSpec) -> Tuple[str, float]:
-        """Closest lane projection of the goal location, for tangents."""
-        best: Optional[Tuple[float, str, float]] = None
-        for lid in sorted(self.lanes):
-            s, d = self._poly[lid].project(goal.x, goal.y)
-            if best is None or d < best[0] - _DIST_TIE:
-                best = (d, lid, s)
-        assert best is not None
-        return best[1], best[2]
+        """Closest lane projection of the goal location, for tangents.
+
+        Distance ties within 1e-9 keep the smaller lane id. Computed once
+        per goal when the scenario is built.
+        """
+        return self._goal_anchors[goal.goal_id]
 
     def same_direction_neighbours(self, lane_id: str) -> List[str]:
         lane = self.lanes[lane_id]
@@ -240,6 +249,9 @@ def load_scenario(path: str | Path) -> Scenario:
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict) or "lanes" not in raw or "goals" not in raw:
         raise ScenarioError("scenario JSON must contain 'lanes' and 'goals'")
+    for key in ("lanes", "goals", "conflicts"):
+        if not isinstance(raw.get(key, []), list):
+            raise ScenarioError(f"scenario '{key}' must be a list")
 
     def adj(entry) -> Optional[AdjacentRef]:
         if entry is None:
@@ -276,7 +288,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed goal entry: {exc}") from exc
-    conflicts = [(str(a), str(b)) for a, b in raw.get("conflicts", [])]
+    try:
+        conflicts = [(str(a), str(b)) for a, b in raw.get("conflicts", [])]
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed conflict entry: {exc}") from exc
     return Scenario(lanes, goals, conflicts)
 
 
@@ -318,17 +333,19 @@ def nearest_lane(
 ) -> Tuple[str, float]:
     """Lane whose centerline is closest to (x, y).
 
-    Distance ties resolve to the smallest absolute heading difference
-    between the vehicle heading and the lane tangent at the nearest point;
-    remaining ties pick the lexicographically smallest lane id.
+    One numpy pass over the scenario's stacked lane segments projects the
+    point onto every lane, bit-equal to each lane's Polyline.project. Lanes
+    are then walked in lane-id order: distance ties resolve to the smallest
+    absolute heading difference between the vehicle heading and the lane
+    tangent at the nearest point; remaining ties pick the lexicographically
+    smallest lane id.
     """
     best = None  # (dist, heading_diff, lane_id, s)
-    for lid in sorted(scenario.lanes):
-        poly = scenario.lane_poly(lid)
-        s, d = poly.project(x, y)
+    arclengths, dists = scenario._segments.project(x, y)
+    for lid, s, d in zip(scenario._lane_ids, arclengths, dists):
         if best is not None and d >= best[0] + _DIST_TIE:
             continue
-        hd = abs(wrap_heading(heading - poly.tangent_at(s)))
+        hd = abs(wrap_heading(heading - scenario.lane_poly(lid).tangent_at(s)))
         if best is None or d < best[0] - _DIST_TIE or hd < best[1] - 1e-12:
             best = (d, hd, lid, s)
     assert best is not None

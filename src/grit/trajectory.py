@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -79,6 +79,20 @@ class Episode:
         self._times: Dict[str, List[float]] = {
             a: [s.time for s in t] for a, t in self.trajectories.items()
         }
+
+    @classmethod
+    def _from_validated(
+        cls,
+        frame_rate: float,
+        trajectories: Dict[str, Tuple[AgentState, ...]],
+        times: Dict[str, List[float]],
+    ) -> "Episode":
+        """Episode over contiguous slices of an already validated episode."""
+        episode = cls.__new__(cls)
+        episode.frame_rate = frame_rate
+        episode.trajectories = trajectories
+        episode._times = times
+        return episode
 
     def agent_ids(self) -> List[str]:
         return sorted(self.trajectories)
@@ -291,7 +305,10 @@ def history_for(episode: Episode, vehicle_id: str, cutoff_index: int) -> Episode
     """Episode truncated for one inference query.
 
     The subject keeps frames up to cutoff_index; every other agent keeps the
-    frames between the subject's first observation and the cutoff time.
+    frames between the subject's first observation and the cutoff time, and
+    agents with no such frame are left out. The result is built from tuple
+    slices of the parent episode (bisected on its sorted frame times), so no
+    state is copied or validated again.
     """
     if vehicle_id not in episode.trajectories:
         raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
@@ -302,14 +319,17 @@ def history_for(episode: Episode, vehicle_id: str, cutoff_index: int) -> Episode
         )
     t_first = subject[0].time - _TIME_TOL
     t_cut = subject[cutoff_index].time + _TIME_TOL
-    out: Dict[str, Sequence[AgentState]] = {vehicle_id: subject[: cutoff_index + 1]}
-    for agent_id, states in episode.trajectories.items():
+    trajectories = {vehicle_id: subject[: cutoff_index + 1]}
+    times = {vehicle_id: episode._times[vehicle_id][: cutoff_index + 1]}
+    for agent_id, agent_times in episode._times.items():
         if agent_id == vehicle_id:
             continue
-        kept = [s for s in states if t_first <= s.time <= t_cut]
-        if kept:
-            out[agent_id] = kept
-    return Episode(episode.frame_rate, out)
+        lo = bisect_left(agent_times, t_first)
+        hi = bisect_right(agent_times, t_cut)
+        if lo < hi:
+            trajectories[agent_id] = episode.trajectories[agent_id][lo:hi]
+            times[agent_id] = agent_times[lo:hi]
+    return Episode._from_validated(episode.frame_rate, trajectories, times)
 
 
 # -- dataset assembly ----------------------------------------------------------

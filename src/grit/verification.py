@@ -290,8 +290,11 @@ def proposition_from_dict(
         raise PropositionError(f"{name}: scope contains duplicate pairs")
     goals = {gid for gid, _ in scope}
 
+    antecedent = raw.get("antecedent", [])
+    if not isinstance(antecedent, list):
+        raise PropositionError(f"{name}: antecedent must be a list of atoms")
     atoms: List[Atom] = []
-    for i, doc in enumerate(raw.get("antecedent", [])):
+    for i, doc in enumerate(antecedent):
         where = f"{name}: antecedent[{i}]"
         if not isinstance(doc, dict):
             raise PropositionError(f"{where}: must be an object")

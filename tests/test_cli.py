@@ -2,10 +2,19 @@ import json
 
 import pytest
 
-from grit.cli import main
+from grit import cli
+from grit.cli import _holdout, _split_datasets, main
+from grit.evaluation import generate_synthetic
 from grit.inference import infer
 from grit.scenario import GoalType, load_scenario
-from grit.trajectory import AgentState, Episode, history_for, load_trajectories, save_trajectories
+from grit.trajectory import (
+    AgentState,
+    Episode,
+    build_datasets,
+    history_for,
+    load_trajectories,
+    save_trajectories,
+)
 from grit.tree import DecisionRule, GoalModel, TreeNode, load_model, save_model
 from grit.verification import load_proposition, verify
 
@@ -188,6 +197,54 @@ def test_train_grid_search_splits_single_episode_by_vehicle(pipeline, capsys):
     load_model(out)
 
 
+def test_train_grid_search_preprocesses_once(pipeline, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_datasets(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_datasets", counted)
+    code = main(
+        ["train", "--scenario", str(pipeline["scenario"]),
+         "--trajectories", str(pipeline["episodes"][0]), str(pipeline["episodes"][1]),
+         "--grid", "alpha=0.1,1.0", "ccp=0.001", "--val-split", "0.5",
+         "--out", str(pipeline["root"] / "model_once.json")]
+    )
+    capsys.readouterr()
+    assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("vehicles_per_episode", [6, 30])
+def test_split_datasets_equals_building_each_split(vehicles_per_episode):
+    # seed 5: in both branches some validation bucket fills first in a
+    # validation episode or vehicle but appears earlier in the full build
+    scenario, episodes = generate_synthetic(
+        "t_junction", 30, seed=5, vehicles_per_episode=vehicles_per_episode
+    )
+    held, first = _holdout(episodes, 0.5)
+    train, val = _split_datasets(build_datasets(episodes, scenario), held, first)
+    if vehicles_per_episode == 6:
+        # five episodes: the last two are held out and renumbered from 0
+        assert first == 3
+        want_train = build_datasets(episodes[:3], scenario)
+        want_val = build_datasets(episodes[3:], scenario)
+    else:
+        # one episode: the last 15 vehicles in id order are held out
+        agents = episodes[0].agent_ids()
+        assert first == 0 and len(agents) == 30
+        want_train = build_datasets(
+            episodes, scenario, agent_filter={(0, a) for a in agents[:15]}
+        )
+        want_val = build_datasets(
+            episodes, scenario, agent_filter={(0, a) for a in agents[15:]}
+        )
+    for got, want in ((train, want_train), (val, want_val)):
+        assert want
+        assert list(got) == list(want)
+        assert got == want
+
+
 def _idle_episode_csv(path):
     states = [AgentState(k / 25.0, -80.0, -6.0, 0.0, 0.0, 0.0) for k in range(30)]
     save_trajectories(Episode(25.0, {"idle": states}), path)
@@ -254,6 +311,22 @@ def test_infer_unknown_vehicle_exit_2(pipeline, capsys):
     )
     assert code == 2
     assert "v99999" in capsys.readouterr().err
+
+
+def test_infer_malformed_scenario_exit_2(pipeline, tmp_path, capsys):
+    doc = json.loads(pipeline["scenario"].read_text())
+    doc["conflicts"] = [doc["conflicts"][0][:1]]
+    broken = tmp_path / "conflicts.json"
+    broken.write_text(json.dumps(doc))
+    code = main(
+        ["infer", "--scenario", str(broken),
+         "--model", str(pipeline["model"]),
+         "--trajectories", str(pipeline["episodes"][1]),
+         "--vehicle", "v00000"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # -- verify -----------------------------------------------------------------------
@@ -328,6 +401,17 @@ def test_verify_malformed_model_exit_2(verify_assets, tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_malformed_proposition_exit_2(verify_assets, tmp_path, capsys):
+    doc = json.loads(verify_assets["verified"].read_text())
+    doc["antecedent"] = 5
+    broken = tmp_path / "antecedent.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["verify", "--model", str(verify_assets["model"]), "--prop", str(broken)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from grit.geometry import (
     Polyline,
+    PolylineSet,
     cumulative_heading_change,
     polyline_crossing,
     segment_intersection,
@@ -94,6 +95,39 @@ def test_project_matches_dense_sampling_oracle():
                 for qx, qy in (poly.point_at(t) for t in sweep)
             )
             assert d <= best + 1e-3
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_polyline_set_project_is_bit_equal_to_each_polyline():
+    rng = np.random.default_rng(47)
+    polys = [_random_polyline(rng) for _ in range(9)]
+    # a U-shape: points midway between the arms tie across segments
+    polys.append(Polyline([(0.0, 0.0), (10.0, 0.0), (10.0, 2.0), (0.0, 2.0)]))
+    stacked = PolylineSet(polys)
+    points = [tuple(rng.uniform(-40.0, 40.0, size=2)) for _ in range(300)]
+    points += [tuple(p) for poly in polys for p in poly.points]  # segment joints
+    points += [(5.0, 1.0), (7.5, 1.0), (math.nan, 0.0), (0.0, math.nan)]
+    for x, y in points:
+        s, d = stacked.project(float(x), float(y))
+        expected = [poly.project(float(x), float(y)) for poly in polys]
+        assert _bits(s) == _bits([e[0] for e in expected])
+        assert _bits(d) == _bits([e[1] for e in expected])
+
+
+def test_tangent_at_is_the_heading_of_the_segment_it_picks():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        poly = _random_polyline(rng)
+        seg = np.diff(poly.points, axis=0)
+        cum = poly.cum_length
+        queries = list(cum) + list((cum[:-1] + cum[1:]) / 2.0) + [-1.0, poly.length + 1.0]
+        for s in queries:
+            i = int(np.searchsorted(cum, min(max(s, 0.0), poly.length), side="left")) - 1
+            i = min(max(i, 0), len(seg) - 1)
+            assert poly.tangent_at(float(s)) == math.atan2(seg[i, 1], seg[i, 0])
 
 
 def test_project_tie_prefers_smaller_arclength():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grit.errors import ScenarioError
+from grit.evaluation import build_template
+from grit.geometry import wrap_heading
 from grit.scenario import (
     AdjacentRef,
     GoalSpec,
@@ -30,8 +32,6 @@ def state(x, y, heading):
 
 @pytest.fixture(scope="module")
 def tj(fixture_scenario_factory=None):
-    from grit.evaluation import build_template
-
     return build_template("t_junction")
 
 
@@ -109,6 +109,17 @@ def test_scenario_from_dict_requires_keys():
         scenario_from_dict({"lanes": []})
     with pytest.raises(ScenarioError):
         scenario_from_dict({"goals": []})
+    with pytest.raises(ScenarioError):
+        scenario_from_dict({"lanes": 5, "goals": []})
+    with pytest.raises(ScenarioError):
+        scenario_from_dict({"lanes": [], "goals": {"id": "g"}})
+
+
+@pytest.mark.parametrize("conflicts", [[["j_north"]], [["j_north", "j_west", "e_in"]], [5], 7])
+def test_scenario_from_dict_rejects_malformed_conflicts(tj, conflicts):
+    doc = dict(scenario_to_dict(tj), conflicts=conflicts)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(doc)
 
 
 # -- nearest lane --------------------------------------------------------------
@@ -141,6 +152,72 @@ def test_nearest_lane_tie_breaks(tj):
     # equidistant between opposite-direction lanes: heading decides
     assert nearest_lane(-50.0, 0.0, 0.0, tj)[0] == "w_left"
     assert nearest_lane(-50.0, 0.0, math.pi, tj)[0] == "j_west"
+
+
+def _nearest_lane_reference(x, y, heading, scenario):
+    """nearest_lane as one Polyline.project call per lane."""
+    best = None
+    for lid in sorted(scenario.lanes):
+        poly = scenario.lane_poly(lid)
+        s, d = poly.project(x, y)
+        if best is not None and d >= best[0] + 1e-9:
+            continue
+        hd = abs(wrap_heading(heading - poly.tangent_at(s)))
+        if best is None or d < best[0] - 1e-9 or hd < best[1] - 1e-12:
+            best = (d, hd, lid, s)
+    return best[2], best[3]
+
+
+@pytest.mark.parametrize("template", ["t_junction", "crossroad"])
+def test_nearest_lane_equals_per_lane_projection(template):
+    scenario = build_template(template)
+    polys = [scenario.lane_poly(lid) for lid in sorted(scenario.lanes)]
+    vertices = np.vstack([p.points for p in polys])
+    lo, hi = vertices.min(axis=0) - 10.0, vertices.max(axis=0) + 10.0
+    grid = [
+        (x, y) for x in np.linspace(lo[0], hi[0], 31) for y in np.linspace(lo[1], hi[1], 31)
+    ]
+    queries = [(x, y, h) for x, y in grid for h in (0.0, math.pi / 2, math.pi, -math.pi / 2)]
+    # segment joints, and points midway between vertices of two different
+    # lanes (equidistant from both when the lanes run parallel), each with the
+    # two lanes' tangents and their bisector so the heading tie flips
+    for i, a in enumerate(polys):
+        for j, b in enumerate(polys):
+            if j < i:
+                continue
+            for pa, ta in zip(a.points, a.segment_headings().tolist() + [None]):
+                for pb, tb in zip(b.points, b.segment_headings().tolist() + [None]):
+                    x, y = (pa + pb) / 2.0
+                    for h in (ta, tb, math.pi):
+                        if h is not None:
+                            queries.append((x, y, h))
+                    if ta is not None and tb is not None:
+                        queries.append((x, y, (ta + tb) / 2.0))
+    ties = 0
+    for x, y, h in queries:
+        x, y, h = float(x), float(y), float(h)
+        assert nearest_lane(x, y, h, scenario) == _nearest_lane_reference(x, y, h, scenario)
+        dists = sorted(p.project(x, y)[1] for p in polys)
+        ties += dists[1] - dists[0] < 1e-9
+    assert ties > 50  # the adversarial points do reach the distance tie
+
+
+@pytest.mark.parametrize("template", ["t_junction", "crossroad", "tie"])
+def test_goal_anchor_equals_brute_force(template):
+    if template == "tie":
+        # the goal lies exactly midway between lanes "b" and "a"
+        lanes = [_line("b", (0, 2), (20, 2)), _line("a", (0, 0), (20, 0))]
+        scenario = Scenario(lanes, [GoalSpec("g", 10.0, 1.0)])
+        assert scenario.goal_anchor(scenario.goals[0]) == ("a", 10.0)
+    else:
+        scenario = build_template(template)
+    for goal in scenario.goals:
+        best = None
+        for lid in sorted(scenario.lanes):
+            s, d = scenario.lane_poly(lid).project(goal.x, goal.y)
+            if best is None or d < best[0] - 1e-9:
+                best = (d, lid, s)
+        assert scenario.goal_anchor(goal) == (best[1], best[2])
 
 
 # -- routing -------------------------------------------------------------------

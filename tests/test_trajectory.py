@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from grit.errors import TrajectoryError
+from grit.evaluation import generate_synthetic
 from grit.scenario import GoalSpec, Lane, Scenario
 from grit.trajectory import (
     AgentState,
@@ -217,6 +218,36 @@ def test_history_for_truncates_subject_and_clips_others():
     assert all(s.time <= subject[9].time + 1e-9 for s in hist.trajectories["o"])
     # an agent that spawns after the cutoff disappears entirely
     assert "l" not in hist.trajectories
+
+
+def _history_reference(episode, vehicle_id, cutoff_index):
+    """history_for as a filter over every state and a validated Episode."""
+    subject = episode.trajectories[vehicle_id]
+    t_first = subject[0].time - 1e-6
+    t_cut = subject[cutoff_index].time + 1e-6
+    out = {vehicle_id: subject[: cutoff_index + 1]}
+    for agent_id, states in episode.trajectories.items():
+        if agent_id == vehicle_id:
+            continue
+        kept = [s for s in states if t_first <= s.time <= t_cut]
+        if kept:
+            out[agent_id] = kept
+    return Episode(episode.frame_rate, out)
+
+
+def test_history_for_equals_filtered_episode():
+    _scenario, episodes = generate_synthetic("crossroad", 3, seed=3, vehicles_per_episode=3)
+    episode = episodes[0]
+    for vehicle in episode.agent_ids():
+        for cutoff in range(len(episode.trajectories[vehicle])):
+            got = history_for(episode, vehicle, cutoff)
+            want = _history_reference(episode, vehicle, cutoff)
+            assert got.frame_rate == want.frame_rate
+            assert list(got.trajectories) == list(want.trajectories)
+            for agent_id, states in want.trajectories.items():
+                assert type(got.trajectories[agent_id]) is tuple
+                assert got.trajectories[agent_id] == states
+            assert got._times == want._times
 
 
 def test_history_for_validates_arguments():

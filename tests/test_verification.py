@@ -229,6 +229,8 @@ def test_proposition_round_trip():
         {"scope": [["G_a"]]},
         {"scope": [["G_a", "sideways"]]},
         {"scope": [["G_a", "straight_on"], ["G_a", "straight_on"]]},
+        {"antecedent": 5},
+        {"antecedent": "speed"},
         {"antecedent": [{"feature": "warp", "op": "<", "value": 1.0}]},
         {"antecedent": [{"feature": "speed", "op": "~", "value": 1.0}]},
         {"antecedent": [{"feature": "speed", "op": "<", "value": "fast"}]},
