@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import GritError
 from .geometry import wrap_heading, wrap_signed
 from .scenario import GoalSpec, Route, Scenario, nearest_lane, path_offsets
 
@@ -29,9 +28,6 @@ FEATURE_NAMES: Tuple[str, ...] = (
 )
 
 BOOLEAN_FEATURES: Tuple[str, ...] = ("in_correct_lane",)
-SCALAR_FEATURES: Tuple[str, ...] = tuple(
-    f for f in FEATURE_NAMES if f not in BOOLEAN_FEATURES
-)
 PER_GOAL_FEATURES: Tuple[str, ...] = ("path_to_goal_length", "in_correct_lane")
 SHARED_FEATURES: Tuple[str, ...] = tuple(
     f for f in FEATURE_NAMES if f not in PER_GOAL_FEATURES
@@ -40,8 +36,6 @@ SHARED_FEATURES: Tuple[str, ...] = tuple(
 LOOKAHEAD_CAP = 100.0
 MISSING_DIST = 100.0
 MISSING_SPEED = 20.0
-
-_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -125,15 +119,6 @@ class FeatureVector:
                 value = metadata.imputation[name]
             out[name] = value
         return out
-
-
-def feature_vector_from_dict(raw: Mapping[str, object]) -> FeatureVector:
-    kwargs = {}
-    for name in FEATURE_NAMES:
-        if name not in raw:
-            raise GritError(f"feature vector missing '{name}'")
-        kwargs[name] = raw[name]
-    return FeatureVector(**kwargs)  # type: ignore[arg-type]
 
 
 # -- individual features -----------------------------------------------------

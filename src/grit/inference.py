@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from .errors import TrajectoryError
 from .features import extract_all
 from .scenario import GoalType, Scenario, assign_goal_type, reachable_goals
 from .trajectory import Episode
-from .tree import GoalModel, PairKey, traverse
+from .tree import GoalModel, PairKey
 
 STATUS_OK = "ok"
 STATUS_NO_GOALS = "no_reachable_goals"
@@ -47,6 +47,14 @@ def normalized_entropy(probs: Sequence[float]) -> float:
     return max(0.0, h / math.log(n))
 
 
+def goal_sums(goal_ids: Sequence[str], probs: Sequence[float]) -> Dict[str, float]:
+    """Total probability per goal, summed in the order the pairs are given."""
+    out: Dict[str, float] = {}
+    for gid, p in zip(goal_ids, probs):
+        out[gid] = out.get(gid, 0.0) + p
+    return out
+
+
 @dataclass(frozen=True)
 class GoalEstimate:
     goal_id: str
@@ -72,10 +80,9 @@ class GoalPosterior:
 
     @property
     def p_goal(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for e in self.entries:
-            out[e.goal_id] = out.get(e.goal_id, 0.0) + e.probability
-        return out
+        return goal_sums(
+            [e.goal_id for e in self.entries], [e.probability for e in self.entries]
+        )
 
     @property
     def argmax_goal(self) -> Optional[str]:
@@ -131,10 +138,9 @@ def _infer(
     vehicle_id: str,
     scenario: Scenario,
     model: GoalModel,
-    use_trees: bool,
     timings: Optional[Dict[str, float]] = None,
 ) -> GoalPosterior:
-    """Body of infer; with use_trees False every candidate scores 0.5."""
+    """Body of infer and infer_no_dt."""
     if vehicle_id not in history.trajectories:
         raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
     state = history.trajectories[vehicle_id][-1]
@@ -148,14 +154,14 @@ def _infer(
     pairs = [
         (route.goal.goal_id, assign_goal_type(state, route, scenario)) for route in routes
     ]
-    trees = [model.trees.get(pair) if use_trees else None for pair in pairs]
-    if any(tree is not None for tree in trees):
+    feats = {}
+    if any(pair in model.trees for pair in pairs):
         feats = extract_all(history, vehicle_id, routes, scenario)
     t0 = _lap(timings, "features", t0)
 
     likelihoods = [
-        0.5 if tree is None else traverse(tree, feats[gid].imputed(model.metadata))[0]
-        for (gid, _), tree in zip(pairs, trees)
+        model.likelihood(pair, feats[pair[0]].imputed(model.metadata) if feats else {})
+        for pair in pairs
     ]
     t0 = _lap(timings, "traversal", t0)
 
@@ -187,7 +193,7 @@ def infer(
     accumulate per-stage wall-clock seconds (goal_generation, features,
     traversal, posterior).
     """
-    return _infer(history, vehicle_id, scenario, model, True, timings)
+    return _infer(history, vehicle_id, scenario, model, timings)
 
 
 def infer_no_dt(
@@ -196,5 +202,6 @@ def infer_no_dt(
     scenario: Scenario,
     model: GoalModel,
 ) -> GoalPosterior:
-    """Reachability-plus-priors baseline: every candidate gets likelihood 0.5."""
-    return _infer(history, vehicle_id, scenario, model, False)
+    """Reachability-plus-priors baseline: inference with every tree removed,
+    so each candidate scores the uninformed likelihood 0.5."""
+    return _infer(history, vehicle_id, scenario, replace(model, trees={}))

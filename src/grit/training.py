@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ModelError
 from .features import BOOLEAN_FEATURES, DEFAULT_METADATA, FEATURE_NAMES, FeatureMetadata
-from .scenario import GoalType
-from .tree import DecisionRule, GoalModel, PairKey, TreeNode, edge_weights, node_likelihood, traverse
+from .inference import posterior, scoped_priors
+from .tree import DecisionRule, GoalModel, PairKey, TreeNode, edge_weights, node_likelihood
 from .trajectory import LabeledSample
 
 _GAIN_TOL = 1e-12
@@ -297,14 +297,6 @@ def estimate_priors(
 # -- end-to-end training ------------------------------------------------------------
 
 
-def _sample_rows(
-    samples: Sequence[LabeledSample], metadata: FeatureMetadata
-) -> Tuple[List[Dict[str, object]], List[bool]]:
-    rows = [s.features.imputed(metadata) for s in samples]
-    labels = [s.label for s in samples]
-    return rows, labels
-
-
 def train_model(
     datasets: Mapping[PairKey, Sequence[LabeledSample]],
     config: TrainConfig = TrainConfig(),
@@ -318,8 +310,8 @@ def train_model(
         samples = datasets[pair]
         if not samples:
             continue
-        rows, labels = _sample_rows(samples, metadata)
-        tree = fit_tree(rows, labels, config)
+        rows = [s.features.imputed(metadata) for s in samples]
+        tree = fit_tree(rows, [s.label for s in samples], config)
         trees[pair] = prune(tree, config.ccp_alpha)
     if not trees:
         raise ModelError("no datasets to train on")
@@ -362,26 +354,22 @@ def validation_loss(
     model: GoalModel,
     val_datasets: Mapping[PairKey, Sequence[LabeledSample]],
 ) -> float:
-    """Mean negative log probability assigned to the realized goal."""
-    groups = _group_by_decision(val_datasets)
+    """Mean negative log of the posterior infer gives the realized goal.
+
+    Each decision (one vehicle frame) scores its candidate pairs with the
+    scoped priors and the posterior of grit.inference; a zero probability is
+    clamped so the loss stays finite.
+    """
     losses: List[float] = []
-    for group in groups:
-        true_pairs = [pair for pair, s in group if s.label]
-        if not true_pairs:
+    for group in _group_by_decision(val_datasets):
+        if not any(s.label for _, s in group):
             continue
-        scores: Dict[PairKey, float] = {}
-        for pair, s in group:
-            x = s.features.imputed(model.metadata)
-            if pair in model.trees:
-                like, _ = traverse(model.trees[pair], x)
-            else:
-                like = 0.5
-            scores[pair] = like * model.prior_for(pair)
-        total = sum(scores.values())
-        if total <= 0:
-            p_true = 0.0
-        else:
-            p_true = sum(scores[pair] for pair in true_pairs) / total
+        pairs = [pair for pair, _ in group]
+        likelihoods = [
+            model.likelihood(pair, s.features.imputed(model.metadata)) for pair, s in group
+        ]
+        probs = posterior(likelihoods, scoped_priors(model, pairs))
+        p_true = sum(p for (_, s), p in zip(group, probs) if s.label)
         losses.append(-math.log(max(p_true, _LOSS_CLAMP)))
     if not losses:
         raise ModelError("validation set has no labeled decisions")
@@ -399,7 +387,9 @@ def grid_search(
 ) -> GridSearchResult:
     """Pick smoothing and pruning strength by validation likelihood.
 
-    Trees are fit once per alpha and re-pruned per ccp_alpha. Equal losses
+    Each config is scored by validation_loss: the mean negative log of the
+    posterior infer gives the true goal. train_model fits the trees once
+    per alpha, unpruned, and each ccp_alpha re-prunes them. Equal losses
     resolve toward the stronger regularizer (larger ccp_alpha, then larger
     alpha). A single-cell grid skips validation entirely.
     """
@@ -424,25 +414,17 @@ def grid_search(
 
     results: List[GridResult] = []
     best: Optional[Tuple[float, TrainConfig, GoalModel]] = None
-    by_alpha: Dict[float, Dict[PairKey, TreeNode]] = {}
+    unpruned: Dict[float, GoalModel] = {}
     for config in configs:
-        if config.alpha not in by_alpha:
-            raw: Dict[PairKey, TreeNode] = {}
-            for pair in sorted(train_datasets):
-                samples = train_datasets[pair]
-                if not samples:
-                    continue
-                rows, labels = _sample_rows(samples, metadata)
-                raw[pair] = fit_tree(
-                    rows, labels, replace(config, ccp_alpha=0.0)
-                )
-            by_alpha[config.alpha] = raw
-        trees = {
-            pair: prune(tree, config.ccp_alpha)
-            for pair, tree in by_alpha[config.alpha].items()
-        }
-        priors, floor = estimate_priors(train_datasets, config.alpha)
-        model = GoalModel(trees=trees, priors=priors, metadata=metadata, prior_floor=floor)
+        if config.alpha not in unpruned:
+            unpruned[config.alpha] = train_model(
+                train_datasets, replace(config, ccp_alpha=0.0), metadata
+            )
+        base = unpruned[config.alpha]
+        model = replace(
+            base,
+            trees={pair: prune(tree, config.ccp_alpha) for pair, tree in base.trees.items()},
+        )
         loss = validation_loss(model, val_datasets)
         results.append(GridResult(config, loss))
         # configs iterate from the strongest regularizer down, so a strict

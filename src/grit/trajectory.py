@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import TrajectoryError
 from .features import FeatureVector, extract_all
@@ -51,12 +51,16 @@ class AgentState:
         object.__setattr__(self, "heading", wrap_heading(self.heading))
 
 
+def _check_frame_rate(frame_rate: float) -> None:
+    if not (math.isfinite(frame_rate) and frame_rate > 0):
+        raise TrajectoryError("frame rate must be positive")
+
+
 class Episode:
     """Recording of one or more agents on a shared frame grid."""
 
     def __init__(self, frame_rate: float, trajectories: Mapping[str, Sequence[AgentState]]):
-        if not (math.isfinite(frame_rate) and frame_rate > 0):
-            raise TrajectoryError("frame rate must be positive")
+        _check_frame_rate(frame_rate)
         self.frame_rate = float(frame_rate)
         self.trajectories: Dict[str, Tuple[AgentState, ...]] = {}
         dt = 1.0 / frame_rate
@@ -121,6 +125,7 @@ def load_trajectories(path: str | Path, frame_rate: float) -> Episode:
     acceleration. When the optional columns are absent, both are derived
     from positions. Rows of one agent must already be in time order.
     """
+    _check_frame_rate(frame_rate)
     path = Path(path)
     try:
         text = path.read_text()

@@ -212,9 +212,16 @@ class GoalModel:
     def prior_for(self, pair: PairKey) -> float:
         return self.priors.get(pair, self.prior_floor)
 
+    def likelihood(self, pair: PairKey, x: Mapping[str, Union[float, bool]]) -> float:
+        """Leaf likelihood of the pair's tree at the imputed feature map x;
+        the uninformed 0.5 when the pair has no tree (x is then not read)."""
+        tree = self.trees.get(pair)
+        return 0.5 if tree is None else traverse(tree, x)[0]
+
     def validate(self) -> None:
         if not self.trees:
             raise ModelError("model has no trees")
+        _validate_metadata(self.metadata)
         if self.prior_floor < 0 or not math.isfinite(self.prior_floor):
             raise ModelError("prior floor is invalid")
         total = 0.0
@@ -239,6 +246,21 @@ class GoalModel:
             }
             for (gid, gtype), tree in sorted(self.trees.items())
         }
+
+
+def _finite_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _validate_metadata(metadata: FeatureMetadata) -> None:
+    for name in DEFAULT_METADATA.imputation:
+        if not _finite_number(metadata.imputation.get(name)):
+            raise ModelError(f"imputation value of '{name}' is missing or not finite")
+    for name, (lo, hi, hi_open) in metadata.domains.items():
+        if any(b is not None and not _finite_number(b) for b in (lo, hi)):
+            raise ModelError(f"domain bound of '{name}' is neither null nor finite")
+        if lo is not None and hi is not None and (lo > hi or (lo == hi and hi_open)):
+            raise ModelError(f"domain of '{name}' is empty")
 
 
 def _validate_node(node: TreeNode, tree_label: str, where: str) -> None:

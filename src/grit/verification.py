@@ -20,9 +20,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .errors import PropositionError
 from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
-from .inference import posterior, scoped_priors
+from .inference import goal_sums, posterior, scoped_priors
 from .scenario import GoalType
-from .tree import GoalModel, PairKey, TreeNode, traverse
+from .tree import GoalModel, PairKey, TreeNode
 
 EPS_OPEN = 1e-6
 
@@ -92,7 +92,6 @@ class Interval:
         raise PropositionError("no representable witness in interval")
 
 
-FULL_INTERVAL = Interval()
 Domain = Union[Interval, frozenset]
 FULL_BOOL: frozenset = frozenset((False, True))
 
@@ -480,6 +479,7 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
     """
     metadata = model.metadata
     scope = list(prop.scope)
+    scope_goals = [gid for gid, _ in scope]
     priors = scoped_priors(model, scope)
 
     env: Dict[str, Domain] = {}
@@ -509,10 +509,7 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
             checked += 1
             likelihoods = [b.likelihood for b in chosen]
             probs = posterior(likelihoods, priors)
-            p_goal: Dict[str, float] = {}
-            for (gid, _), p in zip(scope, probs):
-                p_goal[gid] = p_goal.get(gid, 0.0) + p
-            reason = _violation(prop.consequent, p_goal)
+            reason = _violation(prop.consequent, goal_sums(scope_goals, probs))
             if reason is not None:
                 found = (list(chosen), dict(cur), reason, probs)
                 return True
@@ -548,16 +545,13 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
             likelihoods[pair] = box.likelihood
             leaf_indices[pair] = box.leaf_index
         _replay(model, scope, features, likelihoods, priors, probs)
-        p_goal: Dict[str, float] = {}
-        for (gid, _), p in zip(scope, probs):
-            p_goal[gid] = p_goal.get(gid, 0.0) + p
         ce = Counterexample(
             assignment=assignment,
             features=features,
             likelihoods=likelihoods,
             priors={pair: pr for pair, pr in zip(scope, priors)},
             posterior={pair: p for pair, p in zip(scope, probs)},
-            p_goal=p_goal,
+            p_goal=goal_sums(scope_goals, probs),
             leaf_indices=leaf_indices,
             reason=reason,
         )
@@ -576,11 +570,7 @@ def _replay(
     """Route the witness back through the model; must match bit for bit."""
     replayed: List[float] = []
     for pair in scope:
-        tree = model.trees.get(pair)
-        if tree is None:
-            replayed.append(0.5)
-            continue
-        like, _ = traverse(tree, features[pair])
+        like = model.likelihood(pair, features[pair])
         replayed.append(like)
         if like != likelihoods[pair]:
             raise PropositionError(

@@ -329,6 +329,23 @@ def test_infer_malformed_scenario_exit_2(pipeline, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rate", ["0", "nan"])
+def test_infer_bad_frame_rate_exit_2(pipeline, tmp_path, capsys, rate):
+    # no speed/acceleration columns, so the loader derives them from positions
+    positions = tmp_path / "positions.csv"
+    positions.write_text("time,agent_id,x,y,heading\n0.0,v0,0,0,0\n0.04,v0,0.4,0,0\n")
+    code = main(
+        ["infer", "--scenario", str(pipeline["scenario"]),
+         "--model", str(pipeline["model"]),
+         "--trajectories", str(positions),
+         "--vehicle", "v0", "--frame-rate", rate]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "frame rate must be positive" in err
+    assert "Traceback" not in err
+
+
 # -- verify -----------------------------------------------------------------------
 
 
@@ -396,14 +413,20 @@ def test_verify_refuted_exit_3_with_witness_table(verify_assets, capsys):
 
 
 def test_verify_malformed_model_exit_2(verify_assets, tmp_path, capsys):
-    doc = json.loads(verify_assets["model"].read_text())
-    del doc["trees"]["G_a"]["straight_on"]["rule"]["value"]
-    broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(doc))
-    code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    no_rule_value = json.loads(verify_assets["model"].read_text())
+    del no_rule_value["trees"]["G_a"]["straight_on"]["rule"]["value"]
+    text_bound = json.loads(verify_assets["model"].read_text())
+    text_bound["features"]["domains"]["speed"]["lo"] = "zero"
+    # an empty domain would leave no box to check and "verify" anything
+    inverted = json.loads(verify_assets["model"].read_text())
+    inverted["features"]["domains"]["speed"] = {"lo": 10.0, "hi": 5.0, "hi_open": False}
+    for doc in (no_rule_value, text_bound, inverted):
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_malformed_proposition_exit_2(verify_assets, tmp_path, capsys):

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from grit.errors import GritError
 from grit.features import (
     DEFAULT_METADATA,
     FEATURE_NAMES,
@@ -13,7 +12,6 @@ from grit.features import (
     MISSING_SPEED,
     angle_in_lane,
     extract_all,
-    feature_vector_from_dict,
     in_correct_lane,
     oncoming_vehicle,
     vehicle_in_front,
@@ -78,14 +76,6 @@ def test_metadata_round_trip():
     assert back == DEFAULT_METADATA
     lo, hi, hi_open = back.domains["angle_in_lane"]
     assert (lo, hi, hi_open) == (-math.pi, math.pi, True)
-
-
-def test_feature_vector_from_dict_requires_every_feature():
-    raw = vec().to_dict()
-    raw.pop("speed")
-    with pytest.raises(GritError):
-        feature_vector_from_dict(raw)
-    assert feature_vector_from_dict(vec().to_dict()) == vec()
 
 
 # -- lane membership ---------------------------------------------------------------

@@ -15,8 +15,9 @@ from grit.training import (
     train_model,
     validation_loss,
 )
-from grit.tree import GoalModel, TreeNode, traverse
-from grit.trajectory import LabeledSample
+from grit.inference import infer
+from grit.tree import GoalModel, TreeNode, model_to_dict, traverse
+from grit.trajectory import LabeledSample, history_for
 
 ST = GoalType.STRAIGHT_ON
 TL = GoalType.TURN_LEFT
@@ -280,6 +281,32 @@ def test_validation_loss_uses_half_likelihood_for_missing_trees():
     assert validation_loss(model, val) == pytest.approx(-math.log(0.5))
 
 
+def test_validation_loss_scores_all_zero_priors_like_infer(fixture_world, fixture_datasets,
+                                                          fixture_model):
+    scenario, episodes = fixture_world
+    groups = {}
+    for pair, samples in fixture_datasets.items():
+        for s in samples:
+            groups.setdefault((s.episode_index, s.agent_id, s.frame_index), []).append(
+                (pair, s)
+            )
+    (ep, vehicle, frame), group = next(
+        (key, group) for key, group in sorted(groups.items()) if len(group) >= 2
+    )
+    # floor 0 and no candidate in the priors: every likelihood x prior is 0,
+    # so the scoped priors fall back to uniform exactly as in infer
+    model = GoalModel(
+        trees=fixture_model.trees, priors={("G_nowhere", ST): 1.0}, prior_floor=0.0
+    )
+    assert all(model.prior_for(pair) == 0.0 for pair, _ in group)
+    true_goal = next(s.goal_id for _, s in group if s.label)
+    post = infer(history_for(episodes[ep], vehicle, frame), vehicle, scenario, model)
+    assert len(post.entries) == len(group)
+    expected = -math.log(post.probability_of(true_goal))
+    loss = validation_loss(model, {pair: [s] for pair, s in group})
+    assert loss == pytest.approx(expected, rel=1e-12)
+
+
 def test_validation_loss_needs_positive_decisions():
     a = ("G_a", ST)
     model = leaf_model({a: 1.0})
@@ -337,6 +364,9 @@ def test_grid_search_matches_independent_recompute(fixture_datasets, test_episod
     assert result.best_config == first_best
     assert validation_loss(result.best_model, val) == pytest.approx(
         best_loss, abs=1e-12
+    )
+    assert model_to_dict(result.best_model) == model_to_dict(
+        train_model(fixture_datasets, result.best_config)
     )
 
     again = grid_search(fixture_datasets, val, alphas=alphas, ccp_alphas=ccps)

@@ -108,6 +108,10 @@ def test_csv_without_kinematics_derives_them(tmp_path):
     for s in ep.trajectories["a"]:
         assert s.speed == pytest.approx(v, abs=1e-9)
         assert s.acceleration == pytest.approx(0.0, abs=1e-9)
+    # kinematics divide by the frame rate, so it is checked before deriving them
+    for rate in (0.0, -FR, math.nan, math.inf):
+        with pytest.raises(TrajectoryError, match="frame rate"):
+            load_trajectories(path, rate)
 
 
 def test_csv_rejects_out_of_order_rows(tmp_path):

@@ -197,6 +197,10 @@ def test_goal_model_helpers():
     assert model.pairs() == [("G_a", ST), ("G_b", TL)]
     assert model.prior_for(("G_a", ST)) == 0.75
     assert model.prior_for(("G_missing", ST)) == 0.01
+    assert model.likelihood(("G_a", ST), dict(FULL_X, speed=3.0)) == 0.8
+    assert model.likelihood(("G_a", ST), dict(FULL_X, speed=5.0)) == 0.2
+    # a pair without a tree scores the uninformed 0.5 and reads no feature
+    assert model.likelihood(("G_missing", ST), {}) == 0.5
     model.validate()
     assert model.describe()["G_a:straight_on"] == {
         "depth": 1,
@@ -320,6 +324,36 @@ def test_model_from_dict_rejects_malformed_documents():
     nan_weight["trees"]["G_a"]["straight_on"]["w_true"] = float("nan")
     with pytest.raises(ModelError):
         model_from_dict(nan_weight)
+
+    no_imputation = json.loads(json.dumps(good))
+    del no_imputation["features"]["imputation"]["oncoming_vehicle_dist"]
+    with pytest.raises(ModelError):
+        model_from_dict(no_imputation)
+
+    for value in (float("nan"), float("inf"), "far", None, True):
+        bad_imputation = json.loads(json.dumps(good))
+        bad_imputation["features"]["imputation"]["vehicle_in_front_dist"] = value
+        with pytest.raises(ModelError):
+            model_from_dict(bad_imputation)
+
+    for side in ("lo", "hi"):
+        for value in ("zero", float("nan"), float("inf"), [0.0], False):
+            bad_bound = json.loads(json.dumps(good))
+            bad_bound["features"]["domains"]["speed"][side] = value
+            with pytest.raises(ModelError):
+                model_from_dict(bad_bound)
+
+    for lo, hi, hi_open in ((10.0, 5.0, False), (2.0, 2.0, True)):
+        empty = json.loads(json.dumps(good))
+        empty["features"]["domains"]["speed"] = {"lo": lo, "hi": hi, "hi_open": hi_open}
+        with pytest.raises(ModelError):
+            model_from_dict(empty)
+
+    # a point domain and an unbounded side stay valid
+    point = json.loads(json.dumps(good))
+    point["features"]["domains"]["speed"] = {"lo": 2.0, "hi": 2.0, "hi_open": False}
+    point["features"]["domains"]["acceleration"] = {"lo": None, "hi": 3, "hi_open": True}
+    assert model_from_dict(point).metadata.domains["speed"] == (2.0, 2.0, False)
 
 
 def test_load_model_io_errors(tmp_path):
