@@ -656,7 +656,9 @@ def benchmark(
 
     One untimed warm-up pass precedes the measurement; repetitions defaults
     to whatever brings the total to at least 30 calls. Runs single-threaded
-    so the numbers are not contention noise.
+    so the numbers are not contention noise. The scenario's nearest-lane memo
+    is cleared before each timed pass, so no call is answered by the
+    warm-up or an earlier repetition.
     """
     histories: List[Tuple[Episode, str]] = []
     for episode in episodes:
@@ -678,6 +680,7 @@ def benchmark(
     samples: List[float] = []
     stages: Dict[str, float] = {}
     for _ in range(repetitions):
+        scenario.clear_nearest_memo()
         for history, vehicle_id in histories:
             t0 = time.perf_counter()
             infer(history, vehicle_id, scenario, model, timings=stages)

@@ -42,14 +42,20 @@ class Polyline:
             raise ValueError("polyline needs at least two 2-D points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("polyline contains non-finite coordinates")
-        seg = np.diff(pts, axis=0)
-        seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seg_len <= 0.0):
+        # project() divides by the squared segment lengths: an underflow to 0
+        # or an overflow to inf would turn its results into NaN
+        with np.errstate(over="ignore"):
+            seg = np.diff(pts, axis=0)
+            seg_len = np.hypot(seg[:, 0], seg[:, 1])
+            seg_len_sq = seg_len * seg_len
+        if np.any(seg_len_sq <= 0.0):
             raise ValueError("polyline has zero-length segment")
+        if not np.all(np.isfinite(seg_len_sq)):
+            raise ValueError("polyline segment too long: squared length overflows")
         self.points = pts
         self._seg = seg
         self._seg_len = seg_len
-        self._seg_len_sq = seg_len * seg_len
+        self._seg_len_sq = seg_len_sq
         self.cum_length = np.concatenate(([0.0], np.cumsum(seg_len)))
         self.length = float(self.cum_length[-1])
         self._tangents = [math.atan2(dy, dx) for dx, dy in seg.tolist()]

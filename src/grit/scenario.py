@@ -8,9 +8,11 @@ along lane centerlines; a lane change costs no arclength but a fixed penalty.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,6 +32,8 @@ GOAL_OFFROAD_LIMIT = 5.0
 DEFAULT_GOAL_RADIUS = 1.5
 
 _DIST_TIE = 1e-9
+# poses whose nearest_lane result each scenario keeps; least recently used go first
+_NEAREST_MEMO = 1024
 
 
 class GoalType(str, Enum):
@@ -104,7 +108,8 @@ class Route:
 
 
 class Scenario:
-    """Validated lane graph with cached static geometry."""
+    """Validated lane graph with cached static geometry and a bounded
+    memo of :func:`nearest_lane` results."""
 
     def __init__(
         self,
@@ -136,6 +141,23 @@ class Scenario:
         self._segments = PolylineSet([self._poly[lid] for lid in self._lane_ids])
         self._goal_lanes, self._goal_anchors = self._project_goals()
         self._conflict_map = self._locate_conflicts()
+        self.clear_nearest_memo()
+
+    def clear_nearest_memo(self) -> None:
+        """Start an empty memo of :func:`nearest_lane` results."""
+        self._nearest = functools.lru_cache(maxsize=_NEAREST_MEMO)(
+            functools.partial(_nearest_lane_uncached, scenario=self)
+        )
+
+    # an lru_cache wrapper cannot be pickled; a copy starts with an empty memo
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_nearest"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.clear_nearest_memo()
 
     # -- validation and caches -------------------------------------------
 
@@ -253,10 +275,25 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(raw.get(key, []), list):
             raise ScenarioError(f"scenario '{key}' must be a list")
 
+    def flag(entry: dict, key: str) -> bool:
+        value = entry.get(key, False)
+        if not isinstance(value, bool):
+            raise ScenarioError(f"'{key}' must be true or false, not {value!r}")
+        return value
+
+    def point(p) -> Tuple[float, float]:
+        if not (
+            isinstance(p, (list, tuple))
+            and len(p) == 2
+            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in p)
+        ):
+            raise ScenarioError(f"centerline point must be two numbers, not {p!r}")
+        return float(p[0]), float(p[1])
+
     def adj(entry) -> Optional[AdjacentRef]:
         if entry is None:
             return None
-        return AdjacentRef(str(entry["id"]), bool(entry.get("same_direction", False)))
+        return AdjacentRef(str(entry["id"]), flag(entry, "same_direction"))
 
     lanes = []
     for item in raw["lanes"]:
@@ -264,13 +301,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
             lanes.append(
                 Lane(
                     lane_id=str(item["id"]),
-                    centerline=tuple(
-                        (float(p[0]), float(p[1])) for p in item["centerline"]
-                    ),
+                    centerline=tuple(point(p) for p in item["centerline"]),
                     successors=tuple(str(s) for s in item.get("successors", [])),
                     left=adj(item.get("left")),
                     right=adj(item.get("right")),
-                    in_junction=bool(item.get("in_junction", False)),
+                    in_junction=flag(item, "in_junction"),
                 )
             )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -339,7 +374,19 @@ def nearest_lane(
     absolute heading difference between the vehicle heading and the lane
     tangent at the nearest point; remaining ties pick the lexicographically
     smallest lane id.
+
+    The result depends only on the pose and the lane geometry, so each
+    scenario memoises it by the exact pose (x, y, heading) and keeps the
+    _NEAREST_MEMO most recently used poses. Float keys merge 0.0 with -0.0,
+    which give the same result.
     """
+    return scenario._nearest(x, y, heading)
+
+
+def _nearest_lane_uncached(
+    x: float, y: float, heading: float, scenario: Scenario
+) -> Tuple[str, float]:
+    """:func:`nearest_lane` without the memo."""
     best = None  # (dist, heading_diff, lane_id, s)
     arclengths, dists = scenario._segments.project(x, y)
     for lid, s, d in zip(scenario._lane_ids, arclengths, dists):

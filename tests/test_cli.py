@@ -329,6 +329,23 @@ def test_infer_malformed_scenario_exit_2(pipeline, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_infer_overflowing_lane_exit_2(pipeline, tmp_path, capsys):
+    doc = json.loads(pipeline["scenario"].read_text())
+    doc["lanes"][0]["centerline"] = [[0.0, 0.0], [1e160, 0.0]]
+    broken = tmp_path / "overflow.json"
+    broken.write_text(json.dumps(doc))
+    code = main(
+        ["infer", "--scenario", str(broken),
+         "--model", str(pipeline["model"]),
+         "--trajectories", str(pipeline["episodes"][1]),
+         "--vehicle", "v00000"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("rate", ["0", "nan"])
 def test_infer_bad_frame_rate_exit_2(pipeline, tmp_path, capsys, rate):
     # no speed/acceleration columns, so the loader derives them from positions

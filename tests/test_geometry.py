@@ -50,6 +50,12 @@ def test_polyline_rejects_bad_input():
         Polyline([(0.0, 0.0), (0.0, 0.0)])
     with pytest.raises(ValueError):
         Polyline([(0.0, 0.0), (math.nan, 1.0)])
+    # finite points whose squared segment length overflows or underflows
+    # would make project() return NaN
+    for points in ([(0.0, 0.0), (1e160, 0.0)], [(1e308, 0.0), (-1e308, 0.0)],
+                   [(0.0, 0.0), (1e-170, 0.0)]):
+        with pytest.raises(ValueError):
+            Polyline(points)
 
 
 def test_polyline_arclength_table():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from grit.errors import ScenarioError
 from grit.evaluation import build_template
 from grit.geometry import wrap_heading
 from grit.scenario import (
+    _NEAREST_MEMO,
     AdjacentRef,
     GoalSpec,
     GoalType,
@@ -19,6 +21,7 @@ from grit.scenario import (
     nearest_lane,
     path_offsets,
     reachable_goals,
+    _nearest_lane_uncached,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -115,6 +118,41 @@ def test_scenario_from_dict_requires_keys():
         scenario_from_dict({"lanes": [], "goals": {"id": "g"}})
 
 
+def _lane_entry(doc, lane_id):
+    return next(lane for lane in doc["lanes"] if lane["id"] == lane_id)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: _lane_entry(doc, "w_left")["left"].update(same_direction="false"),
+        lambda doc: _lane_entry(doc, "w_left")["left"].update(same_direction=0),
+        lambda doc: _lane_entry(doc, "w_left")["left"].update(same_direction=None),
+        lambda doc: _lane_entry(doc, "j_north").update(in_junction="no"),
+        lambda doc: _lane_entry(doc, "j_north").update(in_junction=1),
+        lambda doc: _lane_entry(doc, "e_in")["centerline"][0].append(0.0),
+        lambda doc: _lane_entry(doc, "e_in")["centerline"][0].pop(),
+        lambda doc: _lane_entry(doc, "e_in")["centerline"].insert(0, [True, False]),
+        lambda doc: _lane_entry(doc, "e_in")["centerline"].insert(0, ["120", 2.0]),
+        lambda doc: _lane_entry(doc, "e_in")["centerline"].insert(0, 120.0),
+    ],
+)
+def test_scenario_from_dict_requires_strict_lane_fields(tj, edit):
+    doc = scenario_to_dict(tj)
+    edit(doc)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(doc)
+
+
+def test_scenario_from_dict_lane_flags_default_to_false(tj):
+    doc = scenario_to_dict(tj)
+    del _lane_entry(doc, "w_left")["left"]["same_direction"]
+    del _lane_entry(doc, "j_north")["in_junction"]
+    scenario = scenario_from_dict(doc)
+    assert scenario.lanes["w_left"].left == AdjacentRef("j_west", False)
+    assert scenario.lanes["j_north"].in_junction is False
+
+
 @pytest.mark.parametrize("conflicts", [[["j_north"]], [["j_north", "j_west", "e_in"]], [5], 7])
 def test_scenario_from_dict_rejects_malformed_conflicts(tj, conflicts):
     doc = dict(scenario_to_dict(tj), conflicts=conflicts)
@@ -168,9 +206,8 @@ def _nearest_lane_reference(x, y, heading, scenario):
     return best[2], best[3]
 
 
-@pytest.mark.parametrize("template", ["t_junction", "crossroad"])
-def test_nearest_lane_equals_per_lane_projection(template):
-    scenario = build_template(template)
+def _nearest_lane_queries(scenario):
+    """A grid of poses over the scenario, plus poses at distance ties."""
     polys = [scenario.lane_poly(lid) for lid in sorted(scenario.lanes)]
     vertices = np.vstack([p.points for p in polys])
     lo, hi = vertices.min(axis=0) - 10.0, vertices.max(axis=0) + 10.0
@@ -193,13 +230,85 @@ def test_nearest_lane_equals_per_lane_projection(template):
                             queries.append((x, y, h))
                     if ta is not None and tb is not None:
                         queries.append((x, y, (ta + tb) / 2.0))
+    return [(float(x), float(y), float(h)) for x, y, h in queries]
+
+
+@pytest.mark.parametrize("template", ["t_junction", "crossroad"])
+def test_nearest_lane_equals_per_lane_projection(template):
+    scenario = build_template(template)
+    polys = [scenario.lane_poly(lid) for lid in sorted(scenario.lanes)]
     ties = 0
-    for x, y, h in queries:
-        x, y, h = float(x), float(y), float(h)
+    for x, y, h in _nearest_lane_queries(scenario):
         assert nearest_lane(x, y, h, scenario) == _nearest_lane_reference(x, y, h, scenario)
         dists = sorted(p.project(x, y)[1] for p in polys)
         ties += dists[1] - dists[0] < 1e-9
     assert ties > 50  # the adversarial points do reach the distance tie
+
+
+def _same(a, b):
+    return a == b and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("template", ["t_junction", "crossroad"])
+def test_nearest_lane_memo_is_bit_equal_to_uncached(template):
+    scenario = build_template(template)
+    queries = _nearest_lane_queries(scenario)
+    assert len(set(queries)) > _NEAREST_MEMO  # the cold pass also evicts
+    for x, y, h in queries:
+        want = _nearest_lane_uncached(x, y, h, scenario)
+        assert _same(nearest_lane(x, y, h, scenario), want)  # cold, or evicted
+        assert _same(nearest_lane(x, y, h, scenario), want)  # warm
+    info = scenario._nearest.cache_info()
+    assert info.hits >= len(queries)
+    assert info.hits + info.misses == 2 * len(queries)
+
+
+def test_nearest_lane_memo_merges_signed_zeros():
+    for template in ("t_junction", "crossroad"):
+        scenario = build_template(template)
+        for x, y, h in [(0.0, 0.0, 0.0), (0.0, -6.0, math.pi), (-10.0, 0.0, 0.0)]:
+            neg = (-x if x == 0.0 else x, -y if y == 0.0 else y, -h if h == 0.0 else h)
+            want = _nearest_lane_uncached(x, y, h, scenario)
+            assert _same(_nearest_lane_uncached(*neg, scenario), want)
+            assert _same(nearest_lane(*neg, scenario), want)
+            assert _same(nearest_lane(x, y, h, scenario), want)
+        info = scenario._nearest.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 3)
+
+
+def test_nearest_lane_memo_starts_empty_after_pickling():
+    scenario = build_template("t_junction")
+    poses = [(float(x), 1.0, 0.5) for x in range(-60, 60, 7)]
+    want = [nearest_lane(*pose, scenario) for pose in poses]
+    copy = pickle.loads(pickle.dumps(scenario))
+    assert copy._nearest.cache_info().currsize == 0
+    assert scenario._nearest.cache_info().currsize == len(poses)
+    assert all(_same(nearest_lane(*pose, copy), w) for pose, w in zip(poses, want))
+    assert scenario_to_dict(copy) == scenario_to_dict(scenario)
+
+
+def test_nearest_lane_memo_is_bounded():
+    scenario = build_template("crossroad")
+    for i in range(_NEAREST_MEMO + 300):
+        nearest_lane(0.25 * i, 1.0, 0.0, scenario)
+    info = scenario._nearest.cache_info()
+    assert info.maxsize == _NEAREST_MEMO
+    assert info.currsize == _NEAREST_MEMO
+    assert info.misses == _NEAREST_MEMO + 300
+
+
+def test_nearest_lane_memo_is_per_scenario():
+    a = build_template("t_junction")
+    b = build_template("t_junction")
+    cross = build_template("crossroad")
+    pose = (2.0, 50.0, math.pi / 2)
+    assert nearest_lane(*pose, a)[0] == "j_north"
+    assert b._nearest.cache_info().currsize == 0
+    got = nearest_lane(*pose, cross)
+    assert got[0] == "x_north"
+    assert _same(got, _nearest_lane_uncached(*pose, cross))
+    assert b._nearest.cache_info().currsize == 0
+    assert a._nearest.cache_info().currsize == cross._nearest.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("template", ["t_junction", "crossroad", "tie"])
