@@ -29,6 +29,7 @@ from .trajectory import (
     first_goal_entry,
     fraction_cutoffs,
     history_for,
+    states_from_columns,
 )
 from .tree import GoalModel
 
@@ -334,21 +335,15 @@ def _roll_out(
     ]
     noise_xy = rng.normal(0.0, POSITION_NOISE, size=(n, 2))
     noise_h = rng.normal(0.0, HEADING_NOISE, size=n)
-    states: List[AgentState] = []
-    for k in range(n):
-        x, y = path.point_at(arcs[k])
-        heading = path.tangent_at(arcs[k]) + float(noise_h[k])
-        states.append(
-            AgentState(
-                time=(spawn_frame + k) / frame_rate,
-                x=x + float(noise_xy[k, 0]),
-                y=y + float(noise_xy[k, 1]),
-                heading=heading,
-                speed=speeds[k],
-                acceleration=accel[k],
-            )
-        )
-    return states
+    xy = path.points_at(arcs) + noise_xy
+    return states_from_columns([
+        (spawn_frame + np.arange(n)) / frame_rate,
+        xy[:, 0],
+        xy[:, 1],
+        path.tangents_at(arcs) + noise_h,
+        speeds,
+        accel,
+    ])
 
 
 def generate_synthetic(

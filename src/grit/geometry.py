@@ -94,6 +94,30 @@ class Polyline:
         i = int(self.cum_length.searchsorted(s, side="left")) - 1
         return self._tangents[min(max(i, 0), len(self._tangents) - 1)]
 
+    def _clamp(self, s: np.ndarray) -> np.ndarray:
+        # min(max(s, 0.0), length) elementwise, keeping the builtins' pick
+        # of the first argument on ties (so -0.0 stays -0.0)
+        s = np.asarray(s, dtype=float)
+        s = np.where(0.0 > s, 0.0, s)
+        return np.where(self.length < s, self.length, s)
+
+    def points_at(self, s: Sequence[float]) -> np.ndarray:
+        """:meth:`point_at` of every arclength in s, as an (n, 2) array.
+
+        Same clamp, segment search and expressions, so every value is
+        bit-equal to the per-value call.
+        """
+        s = self._clamp(s)
+        i = np.searchsorted(self.cum_length, s, side="right") - 1
+        i = i.clip(0, len(self._seg) - 1)
+        f = (s - self.cum_length[i]) / self._seg_len[i]
+        return self.points[i] + f[:, None] * self._seg[i]
+
+    def tangents_at(self, s: Sequence[float]) -> np.ndarray:
+        """:meth:`tangent_at` of every arclength in s, bit-equal to it."""
+        i = self.cum_length.searchsorted(self._clamp(s), side="left") - 1
+        return np.array(self._tangents)[i.clip(0, len(self._tangents) - 1)]
+
     def segment_headings(self) -> np.ndarray:
         return np.arctan2(self._seg[:, 1], self._seg[:, 0])
 

@@ -13,6 +13,7 @@ import heapq
 import json
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -145,8 +146,9 @@ class Scenario:
 
     def clear_nearest_memo(self) -> None:
         """Start an empty memo of :func:`nearest_lane` results."""
+        # a weak proxy, so the memo does not keep its scenario alive in a cycle
         self._nearest = functools.lru_cache(maxsize=_NEAREST_MEMO)(
-            functools.partial(_nearest_lane_uncached, scenario=self)
+            functools.partial(_nearest_lane_uncached, scenario=weakref.proxy(self))
         )
 
     # an lru_cache wrapper cannot be pickled; a copy starts with an empty memo

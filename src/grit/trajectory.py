@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .errors import TrajectoryError
 from .features import FeatureVector, extract_all
 from .geometry import wrap_heading
@@ -31,9 +33,17 @@ FRACTION_GRID: Tuple[float, ...] = tuple(k / 10.0 for k in range(11))
 _TIME_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentState:
-    """One observed frame of one agent. Heading is wrapped to (-pi, pi]."""
+    """One observed frame of one agent. Heading is wrapped to (-pi, pi].
+
+    The public constructor validates: every field must be finite and speed
+    non-negative, else TrajectoryError, and the heading is wrapped. The bulk
+    producers (CSV loading, derived kinematics, synthesis) check whole columns
+    once with the same rules and messages (:func:`_check_columns`) and wrap
+    the headings themselves; they and unpickling build states through
+    :func:`_trusted_state`, which trusts its values.
+    """
 
     time: float
     x: float
@@ -50,6 +60,74 @@ class AgentState:
             raise TrajectoryError("negative speed in agent state")
         object.__setattr__(self, "heading", wrap_heading(self.heading))
 
+    # a pickled state was valid when it was dumped
+    def __reduce__(self):
+        return _trusted_state, (
+            self.time, self.x, self.y, self.heading, self.speed, self.acceleration
+        )
+
+
+_FIELDS = ("time", "x", "y", "heading", "speed", "acceleration")
+
+# the slot descriptors' setters: about twice as fast as object.__setattr__
+_set_time, _set_x, _set_y, _set_heading, _set_speed, _set_acceleration = (
+    getattr(AgentState, name).__set__ for name in _FIELDS
+)
+
+
+def _trusted_state(
+    time: float,
+    x: float,
+    y: float,
+    heading: float,
+    speed: float,
+    acceleration: float,
+) -> AgentState:
+    """AgentState from values that already pass its checks, heading wrapped."""
+    state = object.__new__(AgentState)
+    _set_time(state, time)
+    _set_x(state, x)
+    _set_y(state, y)
+    _set_heading(state, heading)
+    _set_speed(state, speed)
+    _set_acceleration(state, acceleration)
+    return state
+
+
+def _check_columns(columns: np.ndarray, lines: Optional[np.ndarray] = None) -> None:
+    """Raise AgentState's own TrajectoryError for the first row it would
+    reject, naming that row's CSV line when lines are given.
+
+    columns is a (6, n) float array in field order.
+    """
+    finite = np.isfinite(columns)
+    bad = ~finite.all(axis=0) | (columns[4] < 0.0)
+    if not bad.any():
+        return
+    row = int(bad.argmax())
+    names = [name for name, ok in zip(_FIELDS, finite[:, row]) if not ok]
+    message = f"non-finite {names[0]}" if names else "negative speed"
+    where = "" if lines is None else f" at line {int(lines[row])}"
+    raise TrajectoryError(f"{message} in agent state{where}")
+
+
+def _states(columns: np.ndarray) -> List[AgentState]:
+    """AgentStates from (6, n) columns that :func:`_check_columns` passed."""
+    t, x, y, h, v, a = columns.tolist()
+    return list(map(_trusted_state, t, x, y, map(wrap_heading, h), v, a))
+
+
+def states_from_columns(columns: Sequence[Sequence[float]]) -> List[AgentState]:
+    """AgentStates from time, x, y, heading, speed and acceleration columns.
+
+    Equal to building each state with the public constructor, which would
+    raise the same TrajectoryError for the first bad row, but checked once
+    per column.
+    """
+    columns = np.array(columns, dtype=float)
+    _check_columns(columns)
+    return _states(columns)
+
 
 def _check_frame_rate(frame_rate: float) -> None:
     if not (math.isfinite(frame_rate) and frame_rate > 0):
@@ -64,25 +142,26 @@ class Episode:
         self.frame_rate = float(frame_rate)
         self.trajectories: Dict[str, Tuple[AgentState, ...]] = {}
         dt = 1.0 / frame_rate
+        self._times: Dict[str, List[float]] = {}
         for agent_id in trajectories:
             states = tuple(trajectories[agent_id])
             if not states:
                 raise TrajectoryError(f"agent '{agent_id}' has no states")
             times = [s.time for s in states]
-            for a, b in zip(times[:-1], times[1:]):
-                if b <= a:
+            gaps = np.diff(times)
+            bad = (gaps <= 0.0) | (np.abs(gaps - dt) > _TIME_TOL)
+            if bad.any():
+                gap = float(gaps[bad.argmax()])
+                if gap <= 0.0:
                     raise TrajectoryError(
                         f"agent '{agent_id}' has out-of-order timestamps"
                     )
-                if abs((b - a) - dt) > _TIME_TOL:
-                    raise TrajectoryError(
-                        f"agent '{agent_id}' frame gap {b - a:.6f} does not match "
-                        f"1/frame_rate = {dt:.6f}"
-                    )
+                raise TrajectoryError(
+                    f"agent '{agent_id}' frame gap {gap:.6f} does not match "
+                    f"1/frame_rate = {dt:.6f}"
+                )
             self.trajectories[agent_id] = states
-        self._times: Dict[str, List[float]] = {
-            a: [s.time for s in t] for a, t in self.trajectories.items()
-        }
+            self._times[agent_id] = times
 
     @classmethod
     def _from_validated(
@@ -91,12 +170,20 @@ class Episode:
         trajectories: Dict[str, Tuple[AgentState, ...]],
         times: Dict[str, List[float]],
     ) -> "Episode":
-        """Episode over contiguous slices of an already validated episode."""
+        """Episode over already validated trajectories and their frame times."""
         episode = cls.__new__(cls)
         episode.frame_rate = frame_rate
         episode.trajectories = trajectories
         episode._times = times
         return episode
+
+    # pickled as six float lists per agent rather than one object per state
+    def __reduce__(self):
+        columns = {
+            agent_id: [[getattr(s, name) for s in states] for name in _FIELDS]
+            for agent_id, states in self.trajectories.items()
+        }
+        return _episode_from_columns, (self.frame_rate, columns)
 
     def agent_ids(self) -> List[str]:
         return sorted(self.trajectories)
@@ -112,6 +199,17 @@ class Episode:
         return None
 
 
+def _episode_from_columns(
+    frame_rate: float, columns: Dict[str, List[List[float]]]
+) -> Episode:
+    """Unpickled :class:`Episode`: its states were valid when it was dumped."""
+    return Episode._from_validated(
+        frame_rate,
+        {agent: tuple(map(_trusted_state, *cols)) for agent, cols in columns.items()},
+        {agent: cols[0] for agent, cols in columns.items()},
+    )
+
+
 # -- CSV format --------------------------------------------------------------
 
 _REQUIRED_COLUMNS = ("time", "agent_id", "x", "y", "heading")
@@ -123,7 +221,8 @@ def load_trajectories(path: str | Path, frame_rate: float) -> Episode:
 
     Columns: time, agent_id, x, y, heading plus optional speed and
     acceleration. When the optional columns are absent, both are derived
-    from positions. Rows of one agent must already be in time order.
+    from positions. Rows of one agent must already be in time order. A row
+    that AgentState would reject is reported with its line number.
     """
     _check_frame_rate(frame_rate)
     path = Path(path)
@@ -140,47 +239,50 @@ def load_trajectories(path: str | Path, frame_rate: float) -> Episode:
     for col in _REQUIRED_COLUMNS:
         if col not in header:
             raise TrajectoryError(f"missing required column '{col}'")
-    idx = {col: header.index(col) for col in header}
     has_kin = all(c in header for c in _OPTIONAL_COLUMNS)
+    i_t, i_agent, i_x, i_y, i_h = map(header.index, _REQUIRED_COLUMNS)
+    i_v, i_a = map(header.index, _OPTIONAL_COLUMNS) if has_kin else (0, 0)
 
-    rows: Dict[str, List[Tuple[float, float, float, float, float, float]]] = {}
-    order: List[str] = []
+    # per agent: (time, x, y, heading, speed, acceleration, line number) rows
+    rows: Dict[str, List[Tuple[float, ...]]] = {}
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
         try:
-            t = float(row[idx["time"]])
-            agent = row[idx["agent_id"]].strip()
-            x = float(row[idx["x"]])
-            y = float(row[idx["y"]])
-            heading = float(row[idx["heading"]])
+            t = float(row[i_t])
+            agent = row[i_agent].strip()
+            x = float(row[i_x])
+            y = float(row[i_y])
+            heading = float(row[i_h])
             if has_kin:
-                speed = float(row[idx["speed"]])
-                accel = float(row[idx["acceleration"]])
+                speed = float(row[i_v])
+                accel = float(row[i_a])
             else:
                 speed = 0.0
                 accel = 0.0
         except (ValueError, IndexError) as exc:
+            # a blank row always fails here, at its time field
+            if all(not c.strip() for c in row):
+                continue
             raise TrajectoryError(f"malformed row at line {lineno}: {exc}") from exc
         if not agent:
             raise TrajectoryError(f"empty agent id at line {lineno}")
-        if agent not in rows:
-            rows[agent] = []
-            order.append(agent)
-        prev = rows[agent]
-        if prev and t <= prev[-1][0]:
+        prev = rows.get(agent)
+        if prev is None:
+            prev = rows[agent] = []
+        elif t <= prev[-1][0]:
             raise TrajectoryError(f"agent '{agent}' has out-of-order timestamps")
-        prev.append((t, x, y, heading, speed, accel))
+        prev.append((t, x, y, heading, speed, accel, lineno))
 
     trajectories: Dict[str, List[AgentState]] = {}
-    for agent in order:
-        states = [
-            AgentState(t, x, y, h, max(s, 0.0) if not has_kin else s, a)
-            for t, x, y, h, s, a in rows[agent]
-        ]
-        if not has_kin:
-            states = derive_kinematics(states, frame_rate)
-        trajectories[agent] = states
+    for agent, agent_rows in rows.items():
+        table = np.array(agent_rows).T
+        columns, lines = table[:6], table[6]
+        _check_columns(columns, lines)
+        if not has_kin and len(agent_rows) > 1:
+            columns[4], columns[5] = _kinematics(
+                columns[1].tolist(), columns[2].tolist(), frame_rate
+            )
+            _check_columns(columns, lines)
+        trajectories[agent] = _states(columns)
     return Episode(frame_rate, trajectories)
 
 
@@ -223,12 +325,20 @@ def derive_kinematics(
     n = len(states)
     if n == 0:
         return []
-    dt = 1.0 / frame_rate
-    if n == 1:
-        s = states[0]
-        return [AgentState(s.time, s.x, s.y, s.heading, 0.0, 0.0)]
     xs = [s.x for s in states]
     ys = [s.y for s in states]
+    speeds, accels = _kinematics(xs, ys, frame_rate) if n > 1 else ([0.0], [0.0])
+    return states_from_columns(
+        [[s.time for s in states], xs, ys, [s.heading for s in states], speeds, accels]
+    )
+
+
+def _kinematics(
+    xs: List[float], ys: List[float], frame_rate: float
+) -> Tuple[List[float], List[float]]:
+    """:func:`derive_kinematics`' speeds and accelerations for n >= 2 frames."""
+    n = len(xs)
+    dt = 1.0 / frame_rate
 
     def step(i: int, j: int) -> float:
         return math.hypot(xs[j] - xs[i], ys[j] - ys[i])
@@ -245,12 +355,7 @@ def derive_kinematics(
     for i in range(1, n - 1):
         accels[i] = (speeds[i + 1] - speeds[i - 1]) / (2.0 * dt)
 
-    speeds = [max(v, 0.0) for v in _smooth5(speeds)]
-    accels = _smooth5(accels)
-    return [
-        AgentState(s.time, s.x, s.y, s.heading, v, a)
-        for s, v, a in zip(states, speeds, accels)
-    ]
+    return [max(v, 0.0) for v in _smooth5(speeds)], _smooth5(accels)
 
 
 # -- goal labelling and sampling ----------------------------------------------

@@ -363,6 +363,27 @@ def test_infer_bad_frame_rate_exit_2(pipeline, tmp_path, capsys, rate):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("0.04,v0,0.4,zero,0", "malformed row at line 3"),
+        ("0.04,v0,0.4,nan,0", "non-finite y in agent state at line 3"),
+    ],
+)
+def test_infer_bad_csv_row_exit_2(pipeline, tmp_path, capsys, bad_row, message):
+    positions = tmp_path / "positions.csv"
+    positions.write_text(f"time,agent_id,x,y,heading\n0.0,v0,0,0,0\n{bad_row}\n")
+    code = main(
+        ["infer", "--scenario", str(pipeline["scenario"]),
+         "--model", str(pipeline["model"]),
+         "--trajectories", str(positions), "--vehicle", "v0"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 # -- verify -----------------------------------------------------------------------
 
 

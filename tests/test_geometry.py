@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from grit.evaluation import build_template
 from grit.geometry import (
     Polyline,
     PolylineSet,
@@ -134,6 +135,33 @@ def test_tangent_at_is_the_heading_of_the_segment_it_picks():
             i = int(np.searchsorted(cum, min(max(s, 0.0), poly.length), side="left")) - 1
             i = min(max(i, 0), len(seg) - 1)
             assert poly.tangent_at(float(s)) == math.atan2(seg[i, 1], seg[i, 0])
+
+
+@pytest.mark.parametrize("template", ["t_junction", "crossroad", None])
+def test_points_and_tangents_at_are_bit_equal_to_per_value_calls(template):
+    rng = np.random.default_rng(59)
+    if template is None:
+        polys = [_random_polyline(rng) for _ in range(20)]
+        # point_at(-0.0) keeps the sign of a -0.0 start coordinate
+        polys.append(Polyline([(-0.0, -0.0), (3.0, 4.0), (3.0, 10.0)]))
+    else:
+        scenario = build_template(template)
+        polys = [scenario.lane_poly(lane_id) for lane_id in sorted(scenario.lanes)]
+    for poly in polys:
+        queries = (
+            list(rng.uniform(0.0, poly.length, size=200))
+            + list(poly.cum_length)  # vertices: tangent_at takes the earlier segment
+            + [0.0, -0.0, poly.length]
+            + [-1e-300, -1.0, -50.0, -math.inf]
+            + [math.nextafter(poly.length, math.inf), poly.length + 1.0, math.inf]
+        )
+        queries = [float(s) for s in queries]
+        points = poly.points_at(queries)
+        assert points.shape == (len(queries), 2)
+        assert _bits(points) == _bits([poly.point_at(s) for s in queries])
+        assert _bits(poly.tangents_at(queries)) == _bits(
+            [poly.tangent_at(s) for s in queries]
+        )
 
 
 def test_project_tie_prefers_smaller_arclength():

@@ -1,5 +1,7 @@
+import gc
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -309,6 +311,20 @@ def test_nearest_lane_memo_is_per_scenario():
     assert _same(got, _nearest_lane_uncached(*pose, cross))
     assert b._nearest.cache_info().currsize == 0
     assert a._nearest.cache_info().currsize == cross._nearest.cache_info().currsize == 1
+
+
+def test_nearest_lane_memo_does_not_keep_its_scenario_alive():
+    scenario = build_template("crossroad")
+    for x in range(-30, 30, 3):
+        nearest_lane(float(x), 1.0, 0.0, scenario)
+    assert scenario._nearest.cache_info().currsize == 20
+    ref = weakref.ref(scenario)
+    gc.disable()  # freed by reference counting alone, not the cycle collector
+    try:
+        del scenario
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("template", ["t_junction", "crossroad", "tie"])

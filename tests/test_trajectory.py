@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from grit.trajectory import (
     load_trajectories,
     sample_points,
     save_trajectories,
+    states_from_columns,
 )
 
 FR = 25.0
@@ -47,6 +49,112 @@ def test_agent_state_validation():
         AgentState(0.0, 0.0, 0.0, 0.0, -1.0, 0.0)
     s = AgentState(0.0, 0.0, 0.0, 3.0 * math.pi, 1.0, 0.0)
     assert s.heading == pytest.approx(math.pi)
+
+
+FIELDS = ("time", "x", "y", "heading", "speed", "acceleration")
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_agent_state_rejects_non_finite_fields(field, bad):
+    values = dict(time=0.0, x=1.0, y=2.0, heading=0.5, speed=1.0, acceleration=0.0)
+    values[field] = bad
+    message = f"non-finite {field} in agent state"
+    with pytest.raises(TrajectoryError, match=message):
+        AgentState(**values)
+    with pytest.raises(TrajectoryError, match=message):
+        states_from_columns([[values[f]] for f in FIELDS])
+
+
+@pytest.mark.parametrize("speed", [-1.0, -1e-300, -math.inf])
+def test_agent_state_rejects_negative_speed(speed):
+    message = "non-finite speed" if math.isinf(speed) else "negative speed in agent state"
+    with pytest.raises(TrajectoryError, match=message):
+        AgentState(0.0, 0.0, 0.0, 0.0, speed, 0.0)
+    with pytest.raises(TrajectoryError, match=message):
+        states_from_columns([[0.0, 1.0], [0.0] * 2, [0.0] * 2, [0.0] * 2, [1.0, speed], [0.0] * 2])
+
+
+def assert_trusted_states_are_public(states):
+    """Each state equals its rebuild by the validating constructor."""
+    for state in states:
+        public = AgentState(*(getattr(state, f) for f in FIELDS))
+        assert type(state) is AgentState and not hasattr(state, "__dict__")
+        assert state == public and repr(state) == repr(public)
+
+
+@pytest.mark.parametrize("template", ["t_junction", "crossroad"])
+def test_synthetic_states_equal_publicly_built_ones(template):
+    _, episodes = generate_synthetic(template, 40, seed=5)
+    for episode in episodes:
+        for states in episode.trajectories.values():
+            assert_trusted_states_are_public(states)
+
+
+# headings on both sides of +-pi and signed zeros, speeds of both zero signs
+EDGE_ROWS = [
+    (0.0, 0.0, -0.0, math.pi, 0.0, -0.0),
+    (DT, 0.1, 0.0, -math.pi, -0.0, 0.0),
+    (2 * DT, -0.0, 0.2, 3.0 * math.pi, 2.5, -1.5),
+    (3 * DT, 0.3, 0.3, -3.0 * math.pi, 2.5, 1e-300),
+    (4 * DT, 0.4, 0.4, -0.0, 1e-300, -1e-300),
+    (5 * DT, 0.5, 0.5, math.nextafter(-math.pi, 0.0), 7.0, 0.0),
+    (6 * DT, 0.6, 0.6, math.nextafter(math.pi, 4.0), 7.0, 0.0),
+    (7 * DT, 0.7, 0.7, 1e6, 7.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("with_kinematics", [True, False])
+def test_loaded_states_equal_publicly_built_ones(tmp_path, with_kinematics):
+    header = "time,agent_id,x,y,heading" + (",speed,acceleration" if with_kinematics else "")
+    lines = [header]
+    for t, x, y, h, v, a in EDGE_ROWS:
+        kin = f",{v!r},{a!r}" if with_kinematics else ""
+        lines.append(f"{t!r},a,{x!r},{y!r},{h!r}{kin}")
+    path = tmp_path / "edge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    states = load_trajectories(path, FR).trajectories["a"]
+    if with_kinematics:
+        expected = [AgentState(*row) for row in EDGE_ROWS]
+    else:
+        expected = derive_kinematics([AgentState(*row[:4], 0.0, 0.0) for row in EDGE_ROWS], FR)
+    assert [repr(s) for s in states] == [repr(s) for s in expected]
+    assert states == tuple(expected)
+    assert states[0].heading == states[1].heading == math.pi
+    assert_trusted_states_are_public(states)
+
+
+@pytest.mark.parametrize("with_kinematics", [True, False])
+def test_loaded_synthetic_states_equal_publicly_built_ones(tmp_path, fixture_world, with_kinematics):
+    _, episodes = fixture_world
+    path = tmp_path / "ep.csv"
+    save_trajectories(episodes[3], path)
+    if not with_kinematics:
+        text = path.read_text().splitlines()
+        path.write_text("\n".join(",".join(line.split(",")[:5]) for line in text) + "\n")
+    for states in load_trajectories(path, FR).trajectories.values():
+        assert_trusted_states_are_public(states)
+
+
+def _same_episode(a, b):
+    assert type(b) is Episode and b.frame_rate == a.frame_rate
+    assert list(b.trajectories) == list(a.trajectories)
+    assert b.trajectories == a.trajectories
+    assert repr(b.trajectories) == repr(a.trajectories)
+    assert b._times == a._times and all(type(t) is list for t in b._times.values())
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickling_round_trips_states_and_episodes(protocol, fixture_world):
+    edge = [AgentState(*row) for row in EDGE_ROWS]
+    for state in edge:
+        back = pickle.loads(pickle.dumps(state, protocol))
+        assert type(back) is AgentState and not hasattr(back, "__dict__")
+        assert back == state and repr(back) == repr(state)
+    episode = fixture_world[1][0]
+    history = history_for(episode, episode.agent_ids()[5], 40)
+    for ep in (Episode(FR, {"edge": edge, "b": drive(3)}), episode, history):
+        _same_episode(ep, pickle.loads(pickle.dumps(ep, protocol)))
 
 
 def test_episode_frame_grid_validation():
@@ -112,6 +220,37 @@ def test_csv_without_kinematics_derives_them(tmp_path):
     for rate in (0.0, -FR, math.nan, math.inf):
         with pytest.raises(TrajectoryError, match="frame rate"):
             load_trajectories(path, rate)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0.08,a,abc,0,0,1,0", "malformed row at line 5"),
+        ("0.08,a,1,0", "malformed row at line 5"),
+        ("0.08,,1,0,0,1,0", "empty agent id at line 5"),
+        ("0.08,a,nan,0,0,1,0", "non-finite x in agent state at line 5"),
+        ("0.08,a,1,0,inf,1,0", "non-finite heading in agent state at line 5"),
+        ("0.08,a,1,0,0,1,-inf", "non-finite acceleration in agent state at line 5"),
+        ("0.08,a,1,0,0,-2,0", "negative speed in agent state at line 5"),
+    ],
+)
+def test_csv_bad_row_reports_its_line(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    # the blank line 3 is skipped but still counted
+    path.write_text(
+        "time,agent_id,x,y,heading,speed,acceleration\n"
+        f"0.0,a,0,0,0,1,0\n\n0.04,a,0.5,0,0,1,0\n{row}\n0.12,a,1.5,0,0,1,0\n"
+    )
+    with pytest.raises(TrajectoryError, match=message):
+        load_trajectories(path, FR)
+
+
+def test_csv_derived_kinematics_fault_reports_its_line(tmp_path):
+    # positions whose differences overflow give a non-finite derived speed
+    path = tmp_path / "huge.csv"
+    path.write_text("time,agent_id,x,y,heading\n0.0,a,-1e308,0,0\n0.04,a,1e308,0,0\n")
+    with pytest.raises(TrajectoryError, match="non-finite speed in agent state at line 2"):
+        load_trajectories(path, FR)
 
 
 def test_csv_rejects_out_of_order_rows(tmp_path):
