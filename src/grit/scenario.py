@@ -267,6 +267,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("scenario file is nested too deeply") from exc
     return scenario_from_dict(raw)
 
 

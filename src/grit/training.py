@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -151,16 +151,12 @@ def fit_tree(
     def grow(idx: np.ndarray, depth: int, parent_l: float) -> TreeNode:
         pos_here = int(y[idx].sum())
         neg_here = idx.size - pos_here
-        node = TreeNode(
-            likelihood=node_p(pos_here, neg_here, parent_l),
-            n_pos=pos_here,
-            n_neg=neg_here,
-        )
-        if depth >= config.max_depth or idx.size < config.min_samples_split:
-            return node
-        found = best_split(idx)
+        likelihood = node_p(pos_here, neg_here, parent_l)
+        found = None
+        if depth < config.max_depth and idx.size >= config.min_samples_split:
+            found = best_split(idx)
         if found is None:
-            return node
+            return TreeNode(likelihood, n_pos=pos_here, n_neg=neg_here)
         j, thr, _ = found
         name = names[j]
         if name in BOOLEAN_FEATURES:
@@ -169,19 +165,18 @@ def fit_tree(
         else:
             rule = DecisionRule(name, "threshold", thr)
             true_mask = X[idx, j] < thr
-        true_idx = idx[true_mask]
-        false_idx = idx[~true_mask]
-        node.rule = rule
-        node.true_child = grow(true_idx, depth + 1, node.likelihood)
-        node.false_child = grow(false_idx, depth + 1, node.likelihood)
-        node.true_weight, node.false_weight = edge_weights(
-            node.likelihood, node.true_child.likelihood, node.false_child.likelihood
+        true_child = grow(idx[true_mask], depth + 1, likelihood)
+        false_child = grow(idx[~true_mask], depth + 1, likelihood)
+        true_weight, false_weight = edge_weights(
+            likelihood, true_child.likelihood, false_child.likelihood
         )
-        return node
+        return TreeNode(
+            likelihood, rule, true_child, false_child, true_weight, false_weight,
+            n_pos=pos_here, n_neg=neg_here,
+        )
 
     root = grow(np.arange(y.size), 0, 0.5)
-    root.class_weights = (w_pos, w_neg)
-    return root
+    return replace(root, class_weights=(w_pos, w_neg))
 
 
 def _vec_entropy(p: np.ndarray) -> np.ndarray:
@@ -199,7 +194,8 @@ def _vec_entropy(p: np.ndarray) -> np.ndarray:
 
 def prune(root: TreeNode, ccp_alpha: float) -> TreeNode:
     """Collapse subtrees whose effective complexity parameter is at most
-    ccp_alpha, weakest link first. Returns a new tree; the input is untouched.
+    ccp_alpha, weakest link first. Returns the pruned tree; the input is
+    untouched, and is itself returned when ccp_alpha is 0 or it is a leaf.
 
     Requires the training bookkeeping (per-node counts, root class weights)
     that fit_tree leaves behind, so prune at training time, not on loaded
@@ -207,15 +203,19 @@ def prune(root: TreeNode, ccp_alpha: float) -> TreeNode:
     """
     if ccp_alpha < 0:
         raise ModelError("ccp_alpha must be non-negative")
-    tree = root.copy()
-    if ccp_alpha == 0.0 or tree.is_leaf:
-        return tree
-    if tree.class_weights is None:
+    if ccp_alpha == 0.0 or root.is_leaf:
+        return root
+    if root.class_weights is None:
         raise ModelError("tree lacks training counts; prune freshly fit trees")
-    w_pos, w_neg = tree.class_weights
-    root_mass = w_pos * tree.n_pos + w_neg * tree.n_neg
+    w_pos, w_neg = root.class_weights
+    root_mass = w_pos * root.n_pos + w_neg * root.n_neg
     if root_mass <= 0:
         raise ModelError("tree has no mass")
+    # internal nodes collapsed so far; the search sees them as leaves
+    collapsed: Set[TreeNode] = set()
+
+    def is_leaf(node: TreeNode) -> bool:
+        return node.is_leaf or node in collapsed
 
     def risk(node: TreeNode) -> float:
         """Same weighted raw-count entropy the growing criterion used."""
@@ -228,14 +228,14 @@ def prune(root: TreeNode, ccp_alpha: float) -> TreeNode:
         """Min (effective alpha, preorder index) internal node of the subtree."""
         index = counter[0]
         counter[0] += 1
-        if node.is_leaf:
+        if is_leaf(node):
             return None
         leaf_risk = 0.0
         leaves = 0
         stack = [node]
         while stack:
             cur = stack.pop()
-            if cur.is_leaf:
+            if is_leaf(cur):
                 leaf_risk += risk(cur)
                 leaves += 1
             else:
@@ -251,17 +251,24 @@ def prune(root: TreeNode, ccp_alpha: float) -> TreeNode:
                 best = cand
         return best
 
-    while not tree.is_leaf:
-        found = weakest(tree, [0])
+    while not is_leaf(root):
+        found = weakest(root, [0])
         if found is None or found[0] > ccp_alpha + _PRUNE_TOL:
             break
-        node = found[2]
-        node.rule = None
-        node.true_child = None
-        node.false_child = None
-        node.true_weight = None
-        node.false_weight = None
-    return tree
+        collapsed.add(found[2])
+
+    def rebuild(node: TreeNode) -> TreeNode:
+        """A copy of the node, its collapsed descendants made leaves."""
+        if node.is_leaf or node in collapsed:
+            return TreeNode(
+                node.likelihood, n_pos=node.n_pos, n_neg=node.n_neg,
+                class_weights=node.class_weights,
+            )
+        return replace(
+            node, true_child=rebuild(node.true_child), false_child=rebuild(node.false_child)
+        )
+
+    return rebuild(root)
 
 
 # -- priors ------------------------------------------------------------------------

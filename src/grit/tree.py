@@ -42,10 +42,13 @@ class DecisionRule:
     feature: str
     kind: str  # "threshold" | "boolean"
     threshold: Optional[float] = None
+    # kind == "boolean", resolved once so traversal compares no strings
+    is_boolean: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("threshold", "boolean"):
             raise ModelError(f"unknown rule kind '{self.kind}'")
+        object.__setattr__(self, "is_boolean", self.kind == "boolean")
         if self.kind == "threshold":
             if self.threshold is None or not math.isfinite(self.threshold):
                 raise ModelError("threshold rule needs a finite threshold")
@@ -64,7 +67,7 @@ class DecisionRule:
 
     def test(self, x: Mapping[str, Union[float, bool]]) -> bool:
         value = x[self.feature]
-        if self.kind == "boolean":
+        if self.is_boolean:
             return bool(value)
         return float(value) < self.threshold  # type: ignore[operator]
 
@@ -76,8 +79,14 @@ class DecisionRule:
         return f"{self.feature} >= {self.threshold:g}"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TreeNode:
+    """One node of a likelihood tree; a leaf when it has no rule.
+
+    Nodes are immutable and compare and hash by identity, so a tree object
+    can key caches of what is derived from it (see grit.verification).
+    """
+
     likelihood: float
     rule: Optional[DecisionRule] = None
     true_child: Optional["TreeNode"] = None
@@ -107,19 +116,6 @@ class TreeNode:
         if self.is_leaf:
             return 1
         return self.true_child.leaf_count() + self.false_child.leaf_count()
-
-    def copy(self) -> "TreeNode":
-        return TreeNode(
-            likelihood=self.likelihood,
-            rule=self.rule,
-            true_child=self.true_child.copy() if self.true_child else None,
-            false_child=self.false_child.copy() if self.false_child else None,
-            true_weight=self.true_weight,
-            false_weight=self.false_weight,
-            n_pos=self.n_pos,
-            n_neg=self.n_neg,
-            class_weights=self.class_weights,
-        )
 
 
 def node_likelihood(
@@ -177,13 +173,17 @@ def traverse(
     taken at each (None at the leaf).
     """
     path: List[Tuple[TreeNode, Optional[bool]]] = []
-    cur = node
-    while not cur.is_leaf:
-        branch = cur.rule.test(x)
-        path.append((cur, branch))
-        cur = cur.true_child if branch else cur.false_child
-    path.append((cur, None))
-    return cur.likelihood, path
+    rule = node.rule
+    while rule is not None:
+        if rule.is_boolean:
+            branch = bool(x[rule.feature])
+        else:
+            branch = float(x[rule.feature]) < rule.threshold
+        path.append((node, branch))
+        node = node.true_child if branch else node.false_child
+        rule = node.rule
+    path.append((node, None))
+    return node.likelihood, path
 
 
 def explain(node: TreeNode, x: Mapping[str, Union[float, bool]]) -> List[str]:
@@ -370,6 +370,13 @@ def model_to_dict(model: GoalModel) -> dict:
 
 
 def model_from_dict(raw: dict) -> GoalModel:
+    try:
+        return _model_from_dict(raw)
+    except RecursionError as exc:
+        raise ModelError("model is nested too deeply") from exc
+
+
+def _model_from_dict(raw: dict) -> GoalModel:
     if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
         raise ModelError("not a model file")
     try:
@@ -412,4 +419,6 @@ def load_model(path: str | Path) -> GoalModel:
         raise ModelError(f"cannot read model file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("model file is nested too deeply") from exc
     return model_from_dict(raw)

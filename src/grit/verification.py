@@ -7,18 +7,32 @@ property on every feasible box is therefore a complete decision procedure;
 a failing box yields a concrete witness assignment. The same semantics can
 be exported as an SMT-LIB problem whose unsatisfiability certifies the
 property with exact rational arithmetic.
+
+Trees are immutable, so what is derived from one is built once per tree
+object and kept while the tree lives (weak keys): its leaf boxes, each with
+the restrictions its path narrows, and its SMT-LIB fragment. Entries are
+keyed by the (goal, goal type) pair and a snapshot of the metadata parts
+they read (per-goal and boolean features, domains), so a changed metadata
+gets fresh artifacts. ``_rat`` keeps a bounded memo of rendered constants.
+The search merges only the narrowed restrictions into its environment.
+That is exact: the environment starts at the full feature domains and only
+shrinks, and intersecting a domain with the full domain it was cut from
+returns an equal domain whose bounds are the environment's own; so
+feasibility, the boxes checked and every witness are unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar, Union
 
-from .errors import PropositionError
+from .errors import ModelError, PropositionError
 from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
 from .inference import goal_sums, posterior, scoped_priors
 from .scenario import GoalType
@@ -193,6 +207,67 @@ def enumerate_paths(
     return boxes
 
 
+# -- compiled trees ------------------------------------------------------------------
+
+# Narrowed restrictions of one leaf box: (variable key, domain) for each key
+# whose domain differs from the full feature domain.
+_Narrowed = Tuple[Tuple[str, Domain], ...]
+_Artifact = TypeVar("_Artifact")
+# What is built from each tree: tree -> {(builder, pair, metadata key): artifact}
+_COMPILED: "weakref.WeakKeyDictionary[TreeNode, dict]" = weakref.WeakKeyDictionary()
+
+
+def _metadata_key(metadata: FeatureMetadata) -> tuple:
+    """Hashable snapshot of the metadata parts the tree artifacts read.
+
+    Snapshots compare with ==, so bounds 0.0 and -0.0 (or 1 and 1.0) share
+    an entry. That is exact: cached boxes read these bounds only through
+    comparisons, and a witness takes each metadata bound from the search
+    environment, never from a cached box."""
+    return (
+        tuple(metadata.per_goal),
+        tuple(metadata.boolean),
+        tuple((name, lo, hi, hi_open) for name, (lo, hi, hi_open) in metadata.domains.items()),
+    )
+
+
+def _compiled(
+    build: Callable[[Optional[TreeNode], PairKey, FeatureMetadata], _Artifact],
+    tree: Optional[TreeNode],
+    pair: PairKey,
+    metadata: FeatureMetadata,
+    metadata_key: tuple,
+) -> _Artifact:
+    """build(tree, pair, metadata), built once per tree object and key;
+    a missing tree (None) is built on every call."""
+    if tree is None:
+        return build(None, pair, metadata)
+    per_tree = _COMPILED.get(tree)
+    if per_tree is None:
+        per_tree = _COMPILED[tree] = {}
+    key = (build, pair, metadata_key)
+    found = per_tree.get(key)
+    if found is None:
+        try:
+            found = per_tree[key] = build(tree, pair, metadata)
+        except RecursionError as exc:
+            raise ModelError(
+                f"tree {pair[0]}:{pair[1].value} is nested too deeply"
+            ) from exc
+    return found
+
+
+def _narrowed_boxes(
+    tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata
+) -> List[Tuple[PathBox, _Narrowed]]:
+    """enumerate_paths' boxes, each with the restrictions its path narrows."""
+    full = {var_key(pair, f, metadata): feature_domain(f, metadata) for f in FEATURE_NAMES}
+    return [
+        (box, tuple((k, d) for k, d in box.constraints.items() if d != full[k]))
+        for box in enumerate_paths(tree, pair, metadata)
+    ]
+
+
 # -- propositions ----------------------------------------------------------------
 
 _SCALAR_OPS = ("<", "<=", ">", ">=", "=")
@@ -325,7 +400,10 @@ def proposition_from_dict(
                 raise PropositionError(f"{where}: unknown op '{op}'")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise PropositionError(f"{where}: value must be a number")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError as exc:  # an integer beyond the float range
+                raise PropositionError(f"{where}: value must be finite") from exc
             if not math.isfinite(value):
                 raise PropositionError(f"{where}: value must be finite")
         atoms.append(Atom(feature, op, value, pair))
@@ -348,12 +426,12 @@ def proposition_from_dict(
                 f"{name}: prob_greater needs a distinct in-scope goal to compare"
             )
     elif kind == "prob_at_least":
-        try:
-            threshold = float(cons_raw["threshold"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PropositionError(f"{name}: prob_at_least needs a threshold") from exc
-        if not (0.0 <= threshold <= 1.0):
+        raw_threshold = cons_raw.get("threshold")
+        if isinstance(raw_threshold, bool) or not isinstance(raw_threshold, (int, float)):
+            raise PropositionError(f"{name}: prob_at_least needs a numeric threshold")
+        if not (0.0 <= raw_threshold <= 1.0):
             raise PropositionError(f"{name}: threshold must lie in [0, 1]")
+        threshold = float(raw_threshold)
     return Proposition(
         name=name,
         scope=scope,
@@ -372,6 +450,8 @@ def load_proposition(
         raise PropositionError(f"cannot read proposition file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PropositionError(f"proposition file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise PropositionError("proposition file is nested too deeply") from exc
     return proposition_from_dict(raw, metadata)
 
 
@@ -499,7 +579,15 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
         if not _domain_feasible(env[key]):
             return VerificationResult(prop, verified=True, boxes_checked=0)
 
-    boxes = [enumerate_paths(model.trees.get(pair), pair, metadata) for pair in scope]
+    metadata_key = _metadata_key(metadata)
+    boxes = [
+        _compiled(_narrowed_boxes, model.trees.get(pair), pair, metadata, metadata_key)
+        for pair in scope
+    ]
+    # Boxes merge only the keys they narrow, so an empty feature domain that
+    # no box touches must stop the search here, as merging it would have.
+    if not all(_domain_feasible(d) for d in env.values()):
+        return VerificationResult(prop, verified=True, boxes_checked=0)
     checked = 0
     found: Optional[Tuple[List[PathBox], Dict[str, Domain], str, List[float]]] = None
 
@@ -514,21 +602,18 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
                 found = (list(chosen), dict(cur), reason, probs)
                 return True
             return False
-        for box in boxes[i]:
+        for box, narrowed in boxes[i]:
             nxt = dict(cur)
-            ok = True
-            for key, restriction in box.constraints.items():
+            for key, restriction in narrowed:
                 merged = _merge(nxt[key], restriction)
                 if not _domain_feasible(merged):
-                    ok = False
                     break
                 nxt[key] = merged
-            if not ok:
-                continue
-            chosen.append(box)
-            if recurse(i + 1, nxt, chosen):
-                return True
-            chosen.pop()
+            else:
+                chosen.append(box)
+                if recurse(i + 1, nxt, chosen):
+                    return True
+                chosen.pop()
         return False
 
     if recurse(0, env, []):
@@ -583,6 +668,7 @@ def _replay(
 # -- SMT-LIB export -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
 def _rat(x: float) -> str:
     frac = Fraction(x)
     num, den = frac.numerator, frac.denominator
@@ -595,6 +681,48 @@ def _rat(x: float) -> str:
 
 def _smt_sym(name: str) -> str:
     return name.replace(":", ".")
+
+
+def _smt_tree(tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata) -> str:
+    """The tree's node Booleans and leaf likelihoods as SMT-LIB lines."""
+    gid, gtype = pair
+    pair_sym = _smt_sym(f"{gid}:{gtype.value}")
+    lines = [f"; tree {gid}:{gtype.value}"]
+    if tree is None:
+        lines.append(f"(assert (= L.{pair_sym} {_rat(0.5)}))")
+        return "\n".join(lines)
+    node_syms: List[str] = []
+
+    def declare(node: TreeNode) -> int:
+        idx = len(node_syms)
+        node_syms.append(f"{pair_sym}.n{idx}")
+        lines.append(f"(declare-const {node_syms[idx]} Bool)")
+        if not node.is_leaf:
+            t = declare(node.true_child)
+            f_idx = declare(node.false_child)
+            rule = node.rule
+            key = _smt_sym(var_key(pair, rule.feature, metadata))
+            if rule.kind == "boolean":
+                cond = key
+            else:
+                cond = f"(< {key} {_rat(rule.threshold)})"
+            lines.append(
+                f"(assert (= {node_syms[t]} (and {node_syms[idx]} {cond})))"
+            )
+            lines.append(
+                f"(assert (= {node_syms[f_idx]} "
+                f"(and {node_syms[idx]} (not {cond}))))"
+            )
+        else:
+            lines.append(
+                f"(assert (=> {node_syms[idx]} "
+                f"(= L.{pair_sym} {_rat(node.likelihood)})))"
+            )
+        return idx
+
+    declare(tree)
+    lines.append(f"(assert {node_syms[0]})")
+    return "\n".join(lines)
 
 
 def export_smtlib(model: GoalModel, prop: Proposition) -> str:
@@ -638,45 +766,9 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
         pair_sym = _smt_sym(f"{gid}:{gtype.value}")
         lines.append(f"(declare-const L.{pair_sym} Real)")
 
+    metadata_key = _metadata_key(metadata)
     for pair in scope:
-        gid, gtype = pair
-        pair_sym = _smt_sym(f"{gid}:{gtype.value}")
-        tree = model.trees.get(pair)
-        lines.append(f"; tree {gid}:{gtype.value}")
-        if tree is None:
-            lines.append(f"(assert (= L.{pair_sym} {_rat(0.5)}))")
-            continue
-        node_syms: List[str] = []
-
-        def declare(node: TreeNode) -> int:
-            idx = len(node_syms)
-            node_syms.append(f"{pair_sym}.n{idx}")
-            lines.append(f"(declare-const {node_syms[idx]} Bool)")
-            if not node.is_leaf:
-                t = declare(node.true_child)
-                f_idx = declare(node.false_child)
-                rule = node.rule
-                key = _smt_sym(var_key(pair, rule.feature, metadata))
-                if rule.kind == "boolean":
-                    cond = key
-                else:
-                    cond = f"(< {key} {_rat(rule.threshold)})"
-                lines.append(
-                    f"(assert (= {node_syms[t]} (and {node_syms[idx]} {cond})))"
-                )
-                lines.append(
-                    f"(assert (= {node_syms[f_idx]} "
-                    f"(and {node_syms[idx]} (not {cond}))))"
-                )
-            else:
-                lines.append(
-                    f"(assert (=> {node_syms[idx]} "
-                    f"(= L.{pair_sym} {_rat(node.likelihood)})))"
-                )
-            return idx
-
-        declare(tree)
-        lines.append(f"(assert {node_syms[0]})")
+        lines.append(_compiled(_smt_tree, model.trees.get(pair), pair, metadata, metadata_key))
 
     lines.append("; antecedent")
     for atom in prop.antecedent:

@@ -478,6 +478,58 @@ def test_verify_malformed_proposition_exit_2(verify_assets, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def _deep_chain(model_path, depth):
+    """The model file with its G_a tree replaced by a chain of `depth` rules."""
+    doc = json.loads(model_path.read_text())
+    rule = '"rule": {"feature": "speed", "op": "gt", "value": 1.0}'
+    node = '{%s, "L": 0.5, "w_true": 1.0, "w_false": 1.0, "false": {"L": 0.5}, "true": ' % rule
+    chain = node * depth + '{"L": 0.5}' + "}" * depth
+    return json.dumps(doc).replace(json.dumps(doc["trees"]["G_a"]["straight_on"]), chain)
+
+
+def test_verify_deeply_nested_inputs_exit_2(verify_assets, tmp_path, capsys):
+    deep_list = tmp_path / "deep_list.json"
+    deep_list.write_text("[" * 100000)
+    deep_chain = tmp_path / "deep_chain.json"
+    deep_chain.write_text(_deep_chain(verify_assets["model"], 2000))
+    for model, prop in (
+        (verify_assets["model"], deep_list),
+        (deep_list, verify_assets["verified"]),
+        (deep_chain, verify_assets["verified"]),
+    ):
+        code = main(["verify", "--model", str(model), "--prop", str(prop)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert "Traceback" not in err
+
+
+def test_infer_deeply_nested_scenario_exit_2(pipeline, tmp_path, capsys):
+    deep = tmp_path / "deep_scenario.json"
+    deep.write_text('{"lanes": ' + "[" * 100000)
+    code = main(
+        ["infer", "--scenario", str(deep),
+         "--model", str(pipeline["model"]),
+         "--trajectories", str(pipeline["episodes"][1]),
+         "--vehicle", "v00000"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("threshold", [True, "0.5", None, [0.5]])
+def test_verify_non_numeric_threshold_exit_2(verify_assets, tmp_path, capsys, threshold):
+    doc = json.loads(verify_assets["verified"].read_text())
+    doc["consequent"] = {"kind": "prob_at_least", "goal": "G_a", "threshold": threshold}
+    broken = tmp_path / "threshold.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["verify", "--model", str(verify_assets["model"]), "--prop", str(broken)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "threshold" in err
+
+
 def test_verify_json_matches_library_result(verify_assets, capsys):
     code = main(
         ["verify", "--model", str(verify_assets["model"]),

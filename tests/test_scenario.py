@@ -120,6 +120,13 @@ def test_scenario_from_dict_requires_keys():
         scenario_from_dict({"lanes": [], "goals": {"id": "g"}})
 
 
+def test_load_scenario_rejects_deep_nesting(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"lanes": ' + "[" * 100000)
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        load_scenario(path)
+
+
 def _lane_entry(doc, lane_id):
     return next(lane for lane in doc["lanes"] if lane["id"] == lane_id)
 

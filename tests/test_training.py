@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -197,6 +198,75 @@ def test_prune_zero_is_identity_and_infinity_collapses(fixture_datasets):
     assert leaf_counts[0] == tree.leaf_count() and leaf_counts[-1] == 1
 
 
+class _MutableNode:
+    """A node whose subtree can be cut in place, for the reference pruner."""
+
+    def __init__(self, node):
+        self.node = node
+        self.children = None if node.is_leaf else [
+            _MutableNode(node.true_child), _MutableNode(node.false_child)
+        ]
+
+    def dump(self):
+        n = self.node
+        if self.children is None:
+            return (n.likelihood, n.n_pos, n.n_neg)
+        return (n.likelihood, n.n_pos, n.n_neg, n.rule, n.true_weight, n.false_weight,
+                self.children[0].dump(), self.children[1].dump())
+
+
+def reference_prune(tree, ccp_alpha):
+    """Weakest-link pruning that collapses nodes of a mutable copy in place:
+    lowest effective alpha first, ties to the earliest node in preorder."""
+    w_pos, w_neg = tree.class_weights
+    root_mass = w_pos * tree.n_pos + w_neg * tree.n_neg
+    root = _MutableNode(tree)
+
+    def risk(m):
+        mass = w_pos * m.node.n_pos + w_neg * m.node.n_neg
+        return 0.0 if mass <= 0 else (mass / root_mass) * _entropy(w_pos * m.node.n_pos / mass)
+
+    def leaves(m):
+        return [m] if m.children is None else leaves(m.children[0]) + leaves(m.children[1])
+
+    def preorder(m):
+        return [m] + ([] if m.children is None else preorder(m.children[0]) + preorder(m.children[1]))
+
+    while root.children is not None:
+        best = None
+        for index, m in enumerate(preorder(root)):
+            if m.children is None:
+                continue
+            below = leaves(m)
+            leaf_risk = 0.0
+            for leaf in below:
+                leaf_risk += risk(leaf)
+            eff = (risk(m) - leaf_risk) / (len(below) - 1)
+            if best is None or eff < best[0]:
+                best = (eff, index, m)
+        if best[0] > ccp_alpha + 1e-12:
+            break
+        best[2].children = None
+    return root.dump()
+
+
+def _dump(node):
+    if node.is_leaf:
+        return (node.likelihood, node.n_pos, node.n_neg)
+    return (node.likelihood, node.n_pos, node.n_neg, node.rule, node.true_weight,
+            node.false_weight, _dump(node.true_child), _dump(node.false_child))
+
+
+def test_prune_equals_in_place_reference(fixture_datasets):
+    for pair, samples in sorted(fixture_datasets.items()):
+        rows = [s.features.imputed() for s in samples]
+        tree = fit_tree(rows, [s.label for s in samples], TrainConfig(alpha=1.0))
+        for ccp in (1e-4, 1e-3, 3e-3, 1e-2, 0.05):
+            pruned = prune(tree, ccp)
+            assert _dump(pruned) == reference_prune(tree, ccp), (pair, ccp)
+            assert pruned.class_weights == tree.class_weights
+
+
 def test_prune_effective_alpha_hand_case():
     # 6 separable samples, alpha 1: both class weights are 2, the root holds
     # 1 bit of weighted entropy and the pure leaves none, so the stump's
@@ -213,8 +283,7 @@ def test_prune_requires_training_bookkeeping():
     assert prune(loaded, 0.5).is_leaf
     desk = desk_asset("desk_separable")
     tree = fit_tree(desk["rows"], desk["labels"], TrainConfig(alpha=1.0))
-    stripped = tree.copy()
-    stripped.class_weights = None
+    stripped = dataclasses.replace(tree, class_weights=None)
     with pytest.raises(ModelError):
         prune(stripped, 0.5)
     with pytest.raises(ModelError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -184,8 +185,10 @@ def test_tree_shape_helpers():
     assert tree.depth() == 1
     assert tree.node_count() == 3
     assert tree.leaf_count() == 2
-    clone = tree.copy()
-    clone.true_child.likelihood = 0.95
+    clone = dataclasses.replace(
+        tree, true_child=dataclasses.replace(tree.true_child, likelihood=0.95)
+    )
+    assert clone.true_child.likelihood == 0.95
     assert tree.true_child.likelihood == 0.8
 
 
@@ -213,7 +216,9 @@ def test_validate_rejects_bad_models():
     with pytest.raises(ModelError):
         GoalModel(trees={}, priors={}).validate()
     bad_root = small_model()
-    bad_root.trees[("G_a", ST)].likelihood = 0.6
+    bad_root.trees[("G_a", ST)] = dataclasses.replace(
+        bad_root.trees[("G_a", ST)], likelihood=0.6
+    )
     with pytest.raises(ModelError):
         bad_root.validate()
     bad_prior = small_model()
@@ -225,7 +230,9 @@ def test_validate_rejects_bad_models():
     with pytest.raises(ModelError):
         neg_prior.validate()
     bad_weight = small_model()
-    bad_weight.trees[("G_a", ST)].true_weight = 1.7
+    bad_weight.trees[("G_a", ST)] = dataclasses.replace(
+        bad_weight.trees[("G_a", ST)], true_weight=1.7
+    )
     with pytest.raises(ModelError):
         bad_weight.validate()
 
@@ -354,6 +361,36 @@ def test_model_from_dict_rejects_malformed_documents():
     point["features"]["domains"]["speed"] = {"lo": 2.0, "hi": 2.0, "hi_open": False}
     point["features"]["domains"]["acceleration"] = {"lo": None, "hi": 3, "hi_open": True}
     assert model_from_dict(point).metadata.domains["speed"] == (2.0, 2.0, False)
+
+
+def deep_chain_text(depth):
+    """A model file whose G_a tree is a chain of `depth` speed rules."""
+    rule = '"rule": {"feature": "speed", "op": "gt", "value": 1.0}'
+    node = '{%s, "L": 0.5, "w_true": 1.0, "w_false": 1.0, "false": {"L": 0.5}, "true": ' % rule
+    tree = node * depth + '{"L": 0.5}' + "}" * depth
+    doc = model_to_dict(small_model())
+    text = json.dumps(doc).replace(json.dumps(doc["trees"]["G_a"]["straight_on"]), tree)
+    assert text.count(rule) == depth
+    return text
+
+
+def test_deeply_nested_models_raise_model_error(tmp_path):
+    path = tmp_path / "deep.json"
+    for text in ("[" * 100000, deep_chain_text(2000)):
+        path.write_text(text)
+        with pytest.raises(ModelError, match="nested too deeply"):
+            load_model(path)
+    deep = {"L": 0.5}
+    for _ in range(5000):
+        deep = {"rule": {"feature": "speed", "op": "gt", "value": 1.0}, "L": 0.5,
+                "w_true": 1.0, "w_false": 1.0, "true": deep, "false": {"L": 0.5}}
+    doc = model_to_dict(small_model())
+    doc["trees"]["G_a"]["straight_on"] = deep
+    with pytest.raises(ModelError, match="nested too deeply"):
+        model_from_dict(doc)
+    # a chain well inside the limit still loads
+    path.write_text(deep_chain_text(50))
+    assert load_model(path).trees[("G_a", ST)].depth() == 50
 
 
 def test_load_model_io_errors(tmp_path):

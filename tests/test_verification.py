@@ -258,6 +258,24 @@ def test_proposition_from_dict_rejects_malformed(mutation):
         proposition_from_dict(prop_doc(**mutation))
 
 
+@pytest.mark.parametrize("threshold", [True, "0.5", " 0.25 ", None, [0.5], 10**400])
+def test_prob_at_least_threshold_must_be_a_json_number(threshold):
+    doc = prop_doc(
+        consequent={"kind": "prob_at_least", "goal": "G_a", "threshold": threshold}
+    )
+    with pytest.raises(PropositionError):
+        proposition_from_dict(doc)
+    # the same document with a number loads, as a float
+    doc["consequent"]["threshold"] = 1
+    assert proposition_from_dict(doc).consequent.threshold == 1.0
+
+
+def test_antecedent_value_beyond_the_float_range_is_rejected():
+    doc = prop_doc(antecedent=[{"feature": "speed", "op": "<", "value": 10**400}])
+    with pytest.raises(PropositionError, match="finite"):
+        proposition_from_dict(doc)
+
+
 def test_load_proposition_io_errors(tmp_path):
     with pytest.raises(PropositionError):
         load_proposition(tmp_path / "missing.json")
@@ -265,6 +283,10 @@ def test_load_proposition_io_errors(tmp_path):
     bad.write_text("]")
     with pytest.raises(PropositionError):
         load_proposition(bad)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    with pytest.raises(PropositionError, match="nested too deeply"):
+        load_proposition(deep)
     good = tmp_path / "good.json"
     good.write_text(json.dumps(prop_doc()))
     assert load_proposition(good).name == "slow_vehicles_go_to_a"
