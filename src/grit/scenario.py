@@ -312,7 +312,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     in_junction=flag(item, "in_junction"),
                 )
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ScenarioError(f"malformed lane entry: {exc}") from exc
     goals = []
     for item in raw["goals"]:
@@ -325,7 +325,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                     radius=float(item.get("radius", DEFAULT_GOAL_RADIUS)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"malformed goal entry: {exc}") from exc
     try:
         conflicts = [(str(a), str(b)) for a, b in raw.get("conflicts", [])]

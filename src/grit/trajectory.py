@@ -4,6 +4,15 @@ An episode is one recording: several agents observed on a common frame grid.
 Preprocessing assigns each vehicle its ground-truth goal (the first goal
 radius the trajectory enters), trims the trajectory at that frame, and takes
 eleven samples at observation fractions 0.0 to 1.0 in steps of 0.1.
+
+The bulk producers (CSV loading, derived kinematics, synthesis, unpickling)
+build states column by column: one ``object.__new__`` map allocates them all
+and one map of each field's slot setter fills that field, so no Python
+function runs per state. CSV loading parses each numeric column with one
+``map(float, ...)`` when the file is plain (no quote character, one field per
+header column on every line, each agent's rows in one run) and otherwise,
+or on any fault, falls back to a row loop over ``csv.reader`` that names the
+offending line.
 """
 
 from __future__ import annotations
@@ -11,7 +20,9 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -41,8 +52,9 @@ class AgentState:
     non-negative, else TrajectoryError, and the heading is wrapped. The bulk
     producers (CSV loading, derived kinematics, synthesis) check whole columns
     once with the same rules and messages (:func:`_check_columns`) and wrap
-    the headings themselves; they and unpickling build states through
-    :func:`_trusted_state`, which trusts its values.
+    only the headings outside (-pi, pi]. They and unpickling build states
+    with :func:`_build_states`, which trusts its values and fills each slot
+    column by column without calling this class.
     """
 
     time: float
@@ -70,9 +82,25 @@ class AgentState:
 _FIELDS = ("time", "x", "y", "heading", "speed", "acceleration")
 
 # the slot descriptors' setters: about twice as fast as object.__setattr__
-_set_time, _set_x, _set_y, _set_heading, _set_speed, _set_acceleration = (
-    getattr(AgentState, name).__set__ for name in _FIELDS
-)
+_SETTERS = tuple(getattr(AgentState, name).__set__ for name in _FIELDS)
+
+
+def _build_states(
+    time: Sequence[float],
+    x: Sequence[float],
+    y: Sequence[float],
+    heading: Sequence[float],
+    speed: Sequence[float],
+    acceleration: Sequence[float],
+) -> List[AgentState]:
+    """AgentStates over columns of values that already pass its checks, with
+    headings in (-pi, pi]: one map allocates the states and one map per field
+    fills its slot, so no Python function runs per state."""
+    states = list(map(object.__new__, repeat(AgentState, len(time))))
+    for setter, column in zip(_SETTERS, (time, x, y, heading, speed, acceleration)):
+        # consume the map for its side effect without storing its results
+        deque(map(setter, states, column), maxlen=0)
+    return states
 
 
 def _trusted_state(
@@ -84,14 +112,7 @@ def _trusted_state(
     acceleration: float,
 ) -> AgentState:
     """AgentState from values that already pass its checks, heading wrapped."""
-    state = object.__new__(AgentState)
-    _set_time(state, time)
-    _set_x(state, x)
-    _set_y(state, y)
-    _set_heading(state, heading)
-    _set_speed(state, speed)
-    _set_acceleration(state, acceleration)
-    return state
+    return _build_states((time,), (x,), (y,), (heading,), (speed,), (acceleration,))[0]
 
 
 def _check_columns(columns: np.ndarray, lines: Optional[np.ndarray] = None) -> None:
@@ -111,10 +132,17 @@ def _check_columns(columns: np.ndarray, lines: Optional[np.ndarray] = None) -> N
     raise TrajectoryError(f"{message} in agent state{where}")
 
 
-def _states(columns: np.ndarray) -> List[AgentState]:
-    """AgentStates from (6, n) columns that :func:`_check_columns` passed."""
-    t, x, y, h, v, a = columns.tolist()
-    return list(map(_trusted_state, t, x, y, map(wrap_heading, h), v, a))
+def _states(columns: Sequence[List[float]]) -> List[AgentState]:
+    """AgentStates from six float columns in field order whose values pass
+    AgentState's checks (:func:`_check_columns`).
+
+    wrap_heading runs only on headings outside (-pi, pi]: on that range
+    math.remainder is exact, so it would return its input bit for bit.
+    """
+    t, x, y, h, v, a = columns
+    if h and not (-math.pi < min(h) and max(h) <= math.pi):
+        h = [w if -math.pi < w <= math.pi else wrap_heading(w) for w in h]
+    return _build_states(t, x, y, h, v, a)
 
 
 def states_from_columns(columns: Sequence[Sequence[float]]) -> List[AgentState]:
@@ -126,7 +154,7 @@ def states_from_columns(columns: Sequence[Sequence[float]]) -> List[AgentState]:
     """
     columns = np.array(columns, dtype=float)
     _check_columns(columns)
-    return _states(columns)
+    return _states(columns.tolist())
 
 
 def _check_frame_rate(frame_rate: float) -> None:
@@ -148,18 +176,7 @@ class Episode:
             if not states:
                 raise TrajectoryError(f"agent '{agent_id}' has no states")
             times = [s.time for s in states]
-            gaps = np.diff(times)
-            bad = (gaps <= 0.0) | (np.abs(gaps - dt) > _TIME_TOL)
-            if bad.any():
-                gap = float(gaps[bad.argmax()])
-                if gap <= 0.0:
-                    raise TrajectoryError(
-                        f"agent '{agent_id}' has out-of-order timestamps"
-                    )
-                raise TrajectoryError(
-                    f"agent '{agent_id}' frame gap {gap:.6f} does not match "
-                    f"1/frame_rate = {dt:.6f}"
-                )
+            _check_frame_times(agent_id, times, dt)
             self.trajectories[agent_id] = states
             self._times[agent_id] = times
 
@@ -199,13 +216,27 @@ class Episode:
         return None
 
 
+def _check_frame_times(agent_id: str, times: Sequence[float], dt: float) -> None:
+    """Raise TrajectoryError unless times step forward by dt within _TIME_TOL."""
+    gaps = np.diff(times)
+    bad = (gaps <= 0.0) | (np.abs(gaps - dt) > _TIME_TOL)
+    if bad.any():
+        gap = float(gaps[bad.argmax()])
+        if gap <= 0.0:
+            raise TrajectoryError(f"agent '{agent_id}' has out-of-order timestamps")
+        raise TrajectoryError(
+            f"agent '{agent_id}' frame gap {gap:.6f} does not match "
+            f"1/frame_rate = {dt:.6f}"
+        )
+
+
 def _episode_from_columns(
     frame_rate: float, columns: Dict[str, List[List[float]]]
 ) -> Episode:
     """Unpickled :class:`Episode`: its states were valid when it was dumped."""
     return Episode._from_validated(
         frame_rate,
-        {agent: tuple(map(_trusted_state, *cols)) for agent, cols in columns.items()},
+        {agent: tuple(_build_states(*cols)) for agent, cols in columns.items()},
         {agent: cols[0] for agent, cols in columns.items()},
     )
 
@@ -228,9 +259,81 @@ def load_trajectories(path: str | Path, frame_rate: float) -> Episode:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TrajectoryError(f"cannot read trajectory file: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    # with neither a quote nor a NUL (which csv.reader rejects before Python
+    # 3.11), csv.reader splits each line at every comma and nowhere else
+    plain = '"' not in text and "\0" not in text
+    lines = text.splitlines()
+    del text
+    episode = _load_columns(lines, frame_rate) if plain else None
+    if episode is not None:
+        return episode
+    try:
+        return _load_rows(lines, frame_rate)
+    except csv.Error as exc:  # such as a field beyond csv.field_size_limit()
+        raise TrajectoryError(f"malformed CSV: {exc}") from exc
+
+
+def _load_columns(lines: List[str], frame_rate: float) -> Optional[Episode]:
+    """The episode :func:`_load_rows` loads from lines holding no quote or
+    NUL, parsed one column at a time; None wherever that equality is not shown.
+
+    It takes only files whose every line after the header has one field per
+    header column, with both optional columns present, and whose agents'
+    rows each form one run, as save_trajectories writes them. Any fault
+    (a bad float, an empty or repeated agent id, a rejected state, a frame
+    gap) also gives None, so the row loop reports it with its line.
+    """
+    if len(lines) < 2:
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    if not all(col in header for col in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS):
+        return None
+    # csv.reader refuses a field longer than its limit; no line here is
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # No line holds a newline, so the n - 1 "\n" fields are the separators.
+    # Where each sits right after `width` fields, every line has `width`.
+    width, step, n = len(header), len(header) + 1, len(lines) - 1
+    fields = ",\n,".join(lines[1:]).split(",")
+    if len(fields) != n * step - 1 or fields[width::step].count("\n") != n - 1:
+        return None
+    agents = list(map(str.strip, fields[header.index("agent_id") :: step]))
+    try:
+        columns = [list(map(float, fields[header.index(name) :: step])) for name in _FIELDS]
+    except ValueError:
+        return None
+    del fields
+    spans, hi = [], 0  # (agent, first row, end row) per run of one agent's rows
+    for agent, group in groupby(agents):
+        lo, hi = hi, hi + len(list(group))
+        spans.append((agent, lo, hi))
+    ids = {agent for agent, _, _ in spans}
+    if "" in ids or len(ids) < len(spans):
+        return None
+    # a sum is finite only if every term is; an overflow merely falls back
+    if not all(map(math.isfinite, map(sum, columns))) or min(columns[4]) < 0.0:
+        return None
+    t = columns[0]
+    dt = 1.0 / frame_rate
+    try:
+        for agent, lo, hi in spans:
+            _check_frame_times(agent, t[lo:hi], dt)
+    except TrajectoryError:
+        return None
+    states = _states(columns)
+    return Episode._from_validated(
+        float(frame_rate),
+        {agent: tuple(states[lo:hi]) for agent, lo, hi in spans},
+        {agent: t[lo:hi] for agent, lo, hi in spans},
+    )
+
+
+def _load_rows(lines: List[str], frame_rate: float) -> Episode:
+    """:func:`load_trajectories` over any CSV text, one csv.reader row at a
+    time, reporting the first fault with its line."""
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -275,14 +378,14 @@ def load_trajectories(path: str | Path, frame_rate: float) -> Episode:
     trajectories: Dict[str, List[AgentState]] = {}
     for agent, agent_rows in rows.items():
         table = np.array(agent_rows).T
-        columns, lines = table[:6], table[6]
-        _check_columns(columns, lines)
+        columns, line_numbers = table[:6], table[6]
+        _check_columns(columns, line_numbers)
         if not has_kin and len(agent_rows) > 1:
             columns[4], columns[5] = _kinematics(
                 columns[1].tolist(), columns[2].tolist(), frame_rate
             )
-            _check_columns(columns, lines)
-        trajectories[agent] = _states(columns)
+            _check_columns(columns, line_numbers)
+        trajectories[agent] = _states(columns.tolist())
     return Episode(frame_rate, trajectories)
 
 
@@ -478,8 +581,9 @@ def build_datasets(
             hit = first_goal_entry(trajectory, scenario)
             if hit is None:
                 continue
-            true_goal, _trim = hit
-            for cutoff in sample_points(trajectory, true_goal):
+            true_goal, trim = hit
+            # sample_points' frames: no goal is entered before trim
+            for cutoff in sorted(set(fraction_cutoffs(trim))):
                 history = history_for(episode, agent_id, cutoff)
                 state = trajectory[cutoff]
                 routes = reachable_goals(state, scenario)

@@ -249,10 +249,18 @@ class GoalModel:
 
 
 def _finite_number(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _validate_metadata(metadata: FeatureMetadata) -> None:
+    for group in ("per_goal", "shared", "boolean"):
+        if not all(isinstance(name, str) for name in getattr(metadata, group)):
+            raise ModelError(f"feature names in '{group}' must be strings")
     for name in DEFAULT_METADATA.imputation:
         if not _finite_number(metadata.imputation.get(name)):
             raise ModelError(f"imputation value of '{name}' is missing or not finite")
@@ -311,7 +319,7 @@ def _node_to_dict(node: TreeNode) -> dict:
 def _number(doc: dict, key: str, what: str) -> float:
     try:
         return float(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"{what} is missing or not a number") from exc
 
 

@@ -613,3 +613,61 @@ def test_eval_without_goal_reaching_vehicles_exit_2(pipeline, tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# -- oversized and mistyped values ------------------------------------------------
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+def test_verify_huge_integer_prior_exit_2(verify_assets, tmp_path, capsys):
+    doc = json.loads(verify_assets["model"].read_text())
+    doc["priors"]["G_a"]["straight_on"] = HUGE
+    broken = tmp_path / "prior.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prior of G_a:straight_on" in err
+    assert "Traceback" not in err
+
+
+def test_verify_list_feature_name_exit_2(verify_assets, tmp_path, capsys):
+    doc = json.loads(verify_assets["model"].read_text())
+    doc["features"]["per_goal"].append(["path_to_goal_length"])
+    broken = tmp_path / "per_goal.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "per_goal" in err
+    assert "Traceback" not in err
+
+
+def _infer_with_scenario(pipeline, tmp_path, doc):
+    broken = tmp_path / "scenario.json"
+    broken.write_text(json.dumps(doc))
+    return main(
+        ["infer", "--scenario", str(broken),
+         "--model", str(pipeline["model"]),
+         "--trajectories", str(pipeline["episodes"][1]),
+         "--vehicle", "v00000"]
+    )
+
+
+def test_infer_huge_integer_goal_exit_2(pipeline, tmp_path, capsys):
+    doc = json.loads(pipeline["scenario"].read_text())
+    doc["goals"][0]["x"] = HUGE
+    assert _infer_with_scenario(pipeline, tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed goal entry" in err
+    assert "Traceback" not in err
+
+
+def test_infer_huge_integer_centerline_point_exit_2(pipeline, tmp_path, capsys):
+    doc = json.loads(pipeline["scenario"].read_text())
+    doc["lanes"][0]["centerline"][0] = [HUGE, 0.0]
+    assert _infer_with_scenario(pipeline, tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed lane entry" in err
+    assert "Traceback" not in err

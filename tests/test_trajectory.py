@@ -331,6 +331,20 @@ def test_sample_points_short_trajectory_keeps_every_frame(lane_world):
     assert sample_points(traj, goal) == [0, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("template", ["t_junction", "crossroad"])
+def test_goal_entry_frame_gives_sample_points(template):
+    # build_datasets samples at the frame first_goal_entry returns, without
+    # scanning the trajectory again: no goal is entered before it
+    scenario, episodes = generate_synthetic(template, 60, seed=2)
+    vehicles = 0
+    for episode in episodes:
+        for trajectory in episode.trajectories.values():
+            goal, trim = first_goal_entry(trajectory, scenario)
+            assert sorted(set(fraction_cutoffs(trim))) == sample_points(trajectory, goal)
+            vehicles += 1
+    assert vehicles == 60
+
+
 def test_sample_points_requires_goal_entry(lane_world):
     with pytest.raises(TrajectoryError):
         sample_points(drive(5), lane_world.goals[0])
