@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .errors import ModelError, json_bool, json_names
 from .geometry import wrap_heading, wrap_signed
 from .scenario import GoalSpec, Route, Scenario, nearest_lane, path_offsets
 
@@ -79,13 +80,16 @@ class FeatureMetadata:
 
     @staticmethod
     def from_dict(raw: dict) -> "FeatureMetadata":
+        """Metadata from its JSON form. Numbers are kept as written;
+        GoalModel.validate checks them."""
         return FeatureMetadata(
-            per_goal=tuple(raw["per_goal"]),
-            shared=tuple(raw["shared"]),
-            boolean=tuple(raw["boolean"]),
-            imputation=dict(raw["imputation"]),
+            **{
+                group: tuple(json_names(raw[group], ModelError, f"feature names in '{group}'"))
+                for group in ("per_goal", "shared", "boolean")
+            },
+            imputation={**raw["imputation"]},
             domains={
-                name: (d["lo"], d["hi"], bool(d["hi_open"]))
+                name: (d["lo"], d["hi"], json_bool(d["hi_open"], ModelError, f"'{name}' hi_open"))
                 for name, d in raw["domains"].items()
             },
         )

@@ -119,10 +119,7 @@ def scoped_priors(model: GoalModel, scope: Sequence[PairKey]) -> List[float]:
     An all-zero scope falls back to uniform; an empty scope gives [].
     """
     raw = [model.prior_for(pair) for pair in scope]
-    total = sum(raw)
-    if total <= 0.0:
-        return [1.0 / len(raw)] * len(raw) if raw else []
-    return [p / total for p in raw]
+    return posterior([1.0] * len(raw), raw)  # 1.0 * p == p for every finite p
 
 
 def _lap(timings: Optional[Dict[str, float]], stage: str, t0: float) -> float:

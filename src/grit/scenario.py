@@ -12,14 +12,15 @@ import functools
 import heapq
 import json
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import ScenarioError
+import numpy as np
+
+from .errors import ScenarioError, json_bool, json_names, json_number, read_json
 from .geometry import (
     Polyline,
     PolylineSet,
@@ -196,16 +197,19 @@ class Scenario:
             rows: List[Tuple[str, float, float]] = []
             best = math.inf
             anchor: Optional[Tuple[float, str, float]] = None
-            for lid in self._lane_ids:
-                s, d = self._poly[lid].project(goal.x, goal.y)
-                best = min(best, d)
-                if anchor is None or d < anchor[0] - _DIST_TIE:
-                    anchor = (d, lid, s)
-                if d <= goal.radius:
-                    rows.append((lid, s, d))
+            # a goal far beyond the lanes overflows the projection to an
+            # infinite or NaN distance, which the offroad check below rejects
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lid in self._lane_ids:
+                    s, d = self._poly[lid].project(goal.x, goal.y)
+                    best = min(best, d)
+                    if anchor is None or d < anchor[0] - _DIST_TIE:
+                        anchor = (d, lid, s)
+                    if d <= goal.radius:
+                        rows.append((lid, s, d))
             if best > GOAL_OFFROAD_LIMIT:
                 raise ScenarioError(
-                    f"goal '{goal.goal_id}' lies {best:.2f} m from the nearest "
+                    f"goal '{goal.goal_id}' lies {best:.3g} m from the nearest "
                     f"lane centerline (limit {GOAL_OFFROAD_LIMIT:.1f} m)"
                 )
             table[goal.goal_id] = rows
@@ -260,16 +264,7 @@ class Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load a scenario JSON file, validating structure and references."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ScenarioError("scenario file is nested too deeply") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(read_json(path, ScenarioError, "scenario"))
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -279,54 +274,41 @@ def scenario_from_dict(raw: dict) -> Scenario:
         if not isinstance(raw.get(key, []), list):
             raise ScenarioError(f"scenario '{key}' must be a list")
 
-    def flag(entry: dict, key: str) -> bool:
-        value = entry.get(key, False)
-        if not isinstance(value, bool):
-            raise ScenarioError(f"'{key}' must be true or false, not {value!r}")
-        return value
-
-    def point(p) -> Tuple[float, float]:
-        if not (
-            isinstance(p, (list, tuple))
-            and len(p) == 2
-            and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in p)
-        ):
-            raise ScenarioError(f"centerline point must be two numbers, not {p!r}")
-        return float(p[0]), float(p[1])
-
-    def adj(entry) -> Optional[AdjacentRef]:
+    def adj(entry, what: str) -> Optional[AdjacentRef]:
         if entry is None:
             return None
-        return AdjacentRef(str(entry["id"]), flag(entry, "same_direction"))
+        lane_id, flag = str(entry["id"]), entry.get("same_direction", False)
+        return AdjacentRef(lane_id, json_bool(flag, ScenarioError, f"{what} same_direction"))
 
     lanes = []
     for item in raw["lanes"]:
         try:
-            lanes.append(
-                Lane(
-                    lane_id=str(item["id"]),
-                    centerline=tuple(point(p) for p in item["centerline"]),
-                    successors=tuple(str(s) for s in item.get("successors", [])),
-                    left=adj(item.get("left")),
-                    right=adj(item.get("right")),
-                    in_junction=flag(item, "in_junction"),
-                )
+            lane_id = str(item["id"])
+            what = f"malformed lane entry: lane '{lane_id}'"
+            centerline = tuple(
+                (float(json_number(x, ScenarioError, f"{what} centerline x")),
+                 float(json_number(y, ScenarioError, f"{what} centerline y")))
+                for x, y in item["centerline"]
             )
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+            successors = json_names(item.get("successors", []), ScenarioError, f"{what} successors")
+            flag = item.get("in_junction", False)
+            in_junction = json_bool(flag, ScenarioError, f"{what} in_junction")
+            left, right = adj(item.get("left"), what), adj(item.get("right"), what)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed lane entry: {exc}") from exc
+        lanes.append(Lane(lane_id, centerline, tuple(successors), left, right, in_junction))
     goals = []
     for item in raw["goals"]:
         try:
-            goals.append(
-                GoalSpec(
-                    goal_id=str(item["id"]),
-                    x=float(item["x"]),
-                    y=float(item["y"]),
-                    radius=float(item.get("radius", DEFAULT_GOAL_RADIUS)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            goal_id = str(item["id"])
+            what = f"malformed goal entry: goal '{goal_id}'"
+            x = float(json_number(item["x"], ScenarioError, f"{what} x"))
+            y = float(json_number(item["y"], ScenarioError, f"{what} y"))
+            radius = item.get("radius", DEFAULT_GOAL_RADIUS)
+            radius = float(json_number(radius, ScenarioError, f"{what} radius"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed goal entry: {exc}") from exc
+        goals.append(GoalSpec(goal_id, x, y, radius))
     try:
         conflicts = [(str(a), str(b)) for a, b in raw.get("conflicts", [])]
     except (TypeError, ValueError) as exc:

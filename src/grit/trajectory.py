@@ -264,7 +264,10 @@ def load_trajectories(path: str | Path, frame_rate: float) -> Episode:
     # with neither a quote nor a NUL (which csv.reader rejects before Python
     # 3.11), csv.reader splits each line at every comma and nowhere else
     plain = '"' not in text and "\0" not in text
-    lines = text.splitlines()
+    # split where csv.reader does: read_text made every "\r\n" and "\r" a "\n"
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     del text
     episode = _load_columns(lines, frame_rate) if plain else None
     if episode is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .errors import ModelError
+from .errors import ModelError, json_number, read_json
 from .features import (
     BOOLEAN_FEATURES,
     DEFAULT_METADATA,
@@ -248,25 +248,13 @@ class GoalModel:
         }
 
 
-def _finite_number(v: object) -> bool:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _validate_metadata(metadata: FeatureMetadata) -> None:
-    for group in ("per_goal", "shared", "boolean"):
-        if not all(isinstance(name, str) for name in getattr(metadata, group)):
-            raise ModelError(f"feature names in '{group}' must be strings")
     for name in DEFAULT_METADATA.imputation:
-        if not _finite_number(metadata.imputation.get(name)):
-            raise ModelError(f"imputation value of '{name}' is missing or not finite")
+        json_number(metadata.imputation.get(name), ModelError, f"imputation value of '{name}'")
     for name, (lo, hi, hi_open) in metadata.domains.items():
-        if any(b is not None and not _finite_number(b) for b in (lo, hi)):
-            raise ModelError(f"domain bound of '{name}' is neither null nor finite")
+        for bound in (lo, hi):
+            if bound is not None:
+                json_number(bound, ModelError, f"domain bound of '{name}'")
         if lo is not None and hi is not None and (lo > hi or (lo == hi and hi_open)):
             raise ModelError(f"domain of '{name}' is empty")
 
@@ -316,21 +304,16 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _number(doc: dict, key: str, what: str) -> float:
-    try:
-        return float(doc[key])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelError(f"{what} is missing or not a number") from exc
-
-
 def _object(raw: object, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ModelError(f"{what} must be a JSON object")
     return raw
 
 
-def _node_from_dict(doc: dict, label: str) -> TreeNode:
-    likelihood = _number(doc, "L", f"tree {label}: node likelihood")
+def _node_from_dict(doc: object, label: str) -> TreeNode:
+    what = f"tree {label}: node"
+    doc = _object(doc, what)
+    likelihood = float(json_number(doc.get("L"), ModelError, f"{what} likelihood"))
     if "rule" not in doc:
         return TreeNode(likelihood=likelihood)
     rule_doc = doc["rule"]
@@ -340,24 +323,25 @@ def _node_from_dict(doc: dict, label: str) -> TreeNode:
     except (KeyError, TypeError) as exc:
         raise ModelError(f"tree {label}: malformed rule") from exc
     if op == "gt":
-        rule = DecisionRule(
-            feature, "threshold", _number(rule_doc, "value", f"tree {label}: rule value")
-        )
+        threshold = json_number(rule_doc.get("value"), ModelError, f"tree {label}: rule value")
+        rule = DecisionRule(feature, "threshold", float(threshold))
     elif op == "is":
         rule = DecisionRule(feature, "boolean")
     else:
         raise ModelError(f"tree {label}: unknown rule op '{op}'")
     try:
-        return TreeNode(
-            likelihood=likelihood,
-            rule=rule,
-            true_child=_node_from_dict(doc["true"], label),
-            false_child=_node_from_dict(doc["false"], label),
-            true_weight=_number(doc, "w_true", f"tree {label}: true-branch weight"),
-            false_weight=_number(doc, "w_false", f"tree {label}: false-branch weight"),
-        )
+        true_child = _node_from_dict(doc["true"], label)
+        false_child = _node_from_dict(doc["false"], label)
     except KeyError as exc:
         raise ModelError(f"tree {label}: internal node missing {exc}") from exc
+    return TreeNode(
+        likelihood=likelihood,
+        rule=rule,
+        true_child=true_child,
+        false_child=false_child,
+        true_weight=float(json_number(doc.get("w_true"), ModelError, f"{what} w_true")),
+        false_weight=float(json_number(doc.get("w_false"), ModelError, f"{what} w_false")),
+    )
 
 
 def model_to_dict(model: GoalModel) -> dict:
@@ -407,8 +391,8 @@ def _model_from_dict(raw: dict) -> GoalModel:
             except ValueError as exc:
                 raise ModelError(f"unknown goal type '{type_name}'") from exc
             what = f"prior of {gid}:{type_name}"
-            priors[(gid, gtype)] = _number(by_type, type_name, what)
-    floor = _number(raw, "prior_floor", "prior floor") if "prior_floor" in raw else 0.0
+            priors[(gid, gtype)] = float(json_number(by_type[type_name], ModelError, what))
+    floor = float(json_number(raw.get("prior_floor", 0.0), ModelError, "prior floor"))
     model = GoalModel(trees=trees, priors=priors, metadata=metadata, prior_floor=floor)
     model.validate()
     return model
@@ -420,13 +404,4 @@ def save_model(model: GoalModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GoalModel:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise ModelError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"model file is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ModelError("model file is nested too deeply") from exc
-    return model_from_dict(raw)
+    return model_from_dict(read_json(path, ModelError, "model"))

@@ -23,7 +23,6 @@ feasibility, the boxes checked and every witness are unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar, Union
 
-from .errors import ModelError, PropositionError
+from .errors import ModelError, PropositionError, json_bool, json_number, read_json
 from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
 from .inference import goal_sums, posterior, scoped_priors
 from .scenario import GoalType
@@ -391,21 +390,13 @@ def proposition_from_dict(
                 f"{where}: shared feature '{feature}' cannot name a pair"
             )
         if feature in metadata.boolean:
-            if op != "=" or not isinstance(value, bool):
-                raise PropositionError(
-                    f"{where}: boolean feature needs op '=' and a boolean value"
-                )
+            if op != "=":
+                raise PropositionError(f"{where}: boolean feature needs op '='")
+            value = json_bool(value, PropositionError, f"{where}: value")
         else:
             if op not in _SCALAR_OPS:
                 raise PropositionError(f"{where}: unknown op '{op}'")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise PropositionError(f"{where}: value must be a number")
-            try:
-                value = float(value)
-            except OverflowError as exc:  # an integer beyond the float range
-                raise PropositionError(f"{where}: value must be finite") from exc
-            if not math.isfinite(value):
-                raise PropositionError(f"{where}: value must be finite")
+            value = float(json_number(value, PropositionError, f"{where}: value"))
         atoms.append(Atom(feature, op, value, pair))
 
     cons_raw = raw.get("consequent")
@@ -426,12 +417,10 @@ def proposition_from_dict(
                 f"{name}: prob_greater needs a distinct in-scope goal to compare"
             )
     elif kind == "prob_at_least":
-        raw_threshold = cons_raw.get("threshold")
-        if isinstance(raw_threshold, bool) or not isinstance(raw_threshold, (int, float)):
-            raise PropositionError(f"{name}: prob_at_least needs a numeric threshold")
-        if not (0.0 <= raw_threshold <= 1.0):
+        threshold = cons_raw.get("threshold")
+        threshold = float(json_number(threshold, PropositionError, f"{name}: threshold"))
+        if not (0.0 <= threshold <= 1.0):
             raise PropositionError(f"{name}: threshold must lie in [0, 1]")
-        threshold = float(raw_threshold)
     return Proposition(
         name=name,
         scope=scope,
@@ -444,15 +433,7 @@ def proposition_from_dict(
 def load_proposition(
     path: str | Path, metadata: FeatureMetadata = DEFAULT_METADATA
 ) -> Proposition:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise PropositionError(f"cannot read proposition file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PropositionError(f"proposition file is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise PropositionError("proposition file is nested too deeply") from exc
-    return proposition_from_dict(raw, metadata)
+    return proposition_from_dict(read_json(path, PropositionError, "proposition"), metadata)
 
 
 def proposition_to_dict(prop: Proposition) -> dict:

@@ -1,12 +1,14 @@
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
 from grit import cli
 from grit.cli import _holdout, _split_datasets, main
-from grit.evaluation import generate_synthetic
+from grit.evaluation import build_template, generate_synthetic, template_names
 from grit.inference import infer
-from grit.scenario import GoalType, load_scenario
+from grit.scenario import GoalType, load_scenario, save_scenario
 from grit.trajectory import (
     AgentState,
     Episode,
@@ -16,7 +18,7 @@ from grit.trajectory import (
     save_trajectories,
 )
 from grit.tree import DecisionRule, GoalModel, TreeNode, load_model, save_model
-from grit.verification import load_proposition, verify
+from grit.verification import load_proposition, proposition_to_dict, verify
 
 
 @pytest.fixture(scope="module")
@@ -671,3 +673,153 @@ def test_infer_huge_integer_centerline_point_exit_2(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "malformed lane entry" in err
     assert "Traceback" not in err
+
+
+# -- every JSON document through the one reader -----------------------------------
+
+DIGITS = "1" * 5000  # an integer literal beyond int's default str-digit limit
+
+
+def _not_utf8(text, old, new):
+    return text.replace(old, new).encode("latin-1")
+
+
+def _edited(text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc).replace('"DIGITS"', DIGITS).encode()
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+def _line_break_id_csv(text):
+    # an id holding U+2028 on every row of its agent, then a bad row at line 5
+    header, *rows = text.splitlines()
+    agent = rows[0].split(",")[1]
+    rows = [r.replace(f",{agent},", ",a\u2028b,") for r in rows if f",{agent}," in r]
+    return "\n".join([header, *rows[:3], "0.5,c,bad,0,0,1,0"]).encode() + b"\n"
+
+
+# (command, file replaced, new bytes from the file's text, text the error names)
+MALFORMED_INPUTS = {
+    "model not UTF-8": (
+        "verify", "model", lambda t: _not_utf8(t, "G_a", "G_é"), "model file is not valid JSON"
+    ),
+    "proposition not UTF-8": (
+        "verify", "prop", lambda t: _not_utf8(t, "slow", "slöw"),
+        "proposition file is not valid JSON",
+    ),
+    "scenario not UTF-8": (
+        "infer", "scenario", lambda t: _not_utf8(t, "G_north", "G_nörth"),
+        "scenario file is not valid JSON",
+    ),
+    "model integer of 5000 digits": (
+        "verify", "model", lambda t: _edited(t, _set("prior_floor", "DIGITS")),
+        "model file is not valid JSON",
+    ),
+    "proposition integer of 5000 digits": (
+        "verify", "prop", lambda t: _edited(t, _set("antecedent", 0, "value", "DIGITS")),
+        "proposition file is not valid JSON",
+    ),
+    "scenario integer of 5000 digits": (
+        "infer", "scenario", lambda t: _edited(t, _set("goals", 0, "x", "DIGITS")),
+        "scenario file is not valid JSON",
+    ),
+    "domain flag as a string": (
+        "verify", "model",
+        lambda t: _edited(t, _set("features", "domains", "vehicle_in_front_dist", "hi_open", "false")),
+        "'vehicle_in_front_dist' hi_open must be true or false",
+    ),
+    "feature names as a string": (
+        "verify", "model", lambda t: _edited(t, _set("features", "boolean", "in_correct_lane")),
+        "feature names in 'boolean' must be a list of strings",
+    ),
+    "prior floor as a string": (
+        "verify", "model", lambda t: _edited(t, _set("prior_floor", "0.0")),
+        "prior floor must be a finite number, not '0.0'",
+    ),
+    "goal x as a string": (
+        "infer", "scenario", lambda t: _edited(t, _set("goals", 0, "x", "2.0")),
+        "goal 'G_north' x must be a finite number, not '2.0'",
+    ),
+    "goal radius as a flag": (
+        "eval", "scenario", lambda t: _edited(t, _set("goals", 0, "radius", True)),
+        "goal 'G_north' radius must be a finite number, not True",
+    ),
+    "goal far beyond the lanes": (
+        "infer", "scenario", lambda t: _edited(t, _set("goals", 0, "x", 1e308)),
+        "goal 'G_north' lies 1e+308 m from the nearest lane centerline",
+    ),
+    "line break character in an agent id": (
+        "eval", "trajectories", _line_break_id_csv, "malformed row at line 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_ends_as_one_error_line(pipeline, verify_assets, tmp_path, capsys, case):
+    command, replaced, make, message = MALFORMED_INPUTS[case]
+    if command == "verify":
+        files = {"model": verify_assets["model"], "prop": verify_assets["verified"]}
+    else:
+        files = {"scenario": pipeline["scenario"], "model": pipeline["model"],
+                 "trajectories": pipeline["episodes"][1]}
+    broken = tmp_path / f"broken{files[replaced].suffix}"
+    broken.write_bytes(make(files[replaced].read_bytes().decode()))
+    files[replaced] = broken
+    argv = [command] + [arg for key, path in files.items() for arg in (f"--{key}", str(path))]
+    if command == "infer":
+        argv += ["--vehicle", pipeline["episodes"][1].read_text().splitlines()[1].split(",")[1]]
+    elif command == "eval":
+        argv += ["--out", str(tmp_path / "r")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert code == 2
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and len(lines[0]) <= 200, lines
+    assert message in lines[0]
+    assert "Traceback" not in err and "Warning" not in err
+
+
+def test_bundled_documents_round_trip_byte_for_byte(tmp_path, fixture_world, train_episodes):
+    data = Path(cli.__file__).parent / "data"
+    # scenarios and models: saving what was loaded rewrites the same bytes
+    saved = []
+    for name in template_names():
+        path = tmp_path / f"{name}.json"
+        save_scenario(build_template(name), path)
+        saved.append((path, load_scenario, save_scenario))
+    for path in sorted((data / "smt").glob("*_model.json")):
+        saved.append((path, load_model, save_model))
+    save_scenario(fixture_world[0], tmp_path / "scenario.json")
+    csvs = []
+    for i, episode in enumerate(train_episodes):
+        csvs.append(str(tmp_path / f"episode_{i}.csv"))
+        save_trajectories(episode, csvs[-1])
+    trained = tmp_path / "trained.json"
+    assert main(["train", "--scenario", str(tmp_path / "scenario.json"), "--trajectories",
+                 *csvs, "--grid", "alpha=1.0", "ccp=0.001", "--out", str(trained)]) == 0
+    saved.append((trained, load_model, save_model))
+    for path, load, save in saved:
+        again = tmp_path / "again.json"
+        save(load(path), again)
+        assert again.read_bytes() == path.read_bytes(), path.name
+    # propositions have no saver; every key and number must come back as written
+    props = sorted((data / "propositions").glob("*.json"))
+    assert len(props) == 5
+    for path in props:
+        written = json.loads(path.read_text())
+        reserialized = proposition_to_dict(load_proposition(path))
+        assert json.dumps(reserialized, sort_keys=True) == json.dumps(written, sort_keys=True)

@@ -7,6 +7,7 @@ times) or its exact TrajectoryError text. The bulk builder must equal the
 validating AgentState constructor.
 """
 
+import csv
 import hashlib
 import math
 import pickle
@@ -206,6 +207,28 @@ def test_undecodable_file_is_a_trajectory_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(_csv(rows=[GOOD[0].replace(",a,", ",\xe9,")]).encode("latin-1"))
     with pytest.raises(TrajectoryError, match="cannot read trajectory file"):
+        load_trajectories(path, FR)
+
+
+# str.splitlines() also breaks lines at these; csv.reader does not
+LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS, ids=ascii)
+def test_line_break_characters_stay_inside_an_agent_id(tmp_path, char):
+    agent = f"a{char}b"
+    path = tmp_path / "case.csv"
+    path.write_bytes(_csv(rows=[r.replace(",a,", f",{agent},") for r in GOOD]).encode())
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    lines = [",".join(row) for row in rows]
+    expected = _load_rows(lines, FR)
+    assert list(expected.trajectories) == list(dict.fromkeys(r[1] for r in rows[1:])) == [agent, "b"]
+    _assert_same(_load_columns(lines, FR), expected)
+    _assert_same(load_trajectories(path, FR), expected)
+    # a fault after those rows is reported at its own line
+    path.write_bytes(_csv(rows=[*(r.replace(",a,", f",{agent},") for r in GOOD), "0.12,b,x"]).encode())
+    with pytest.raises(TrajectoryError, match="malformed row at line 7"):
         load_trajectories(path, FR)
 
 
