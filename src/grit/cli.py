@@ -26,7 +26,7 @@ from .inference import GoalPosterior, infer
 from .scenario import load_scenario, save_scenario
 from .trajectory import build_datasets, history_for, load_trajectories, save_trajectories
 from .training import TrainConfig, grid_search, train_model
-from .tree import load_model, save_model
+from .tree import load_model, pair_label, save_model
 from .verification import (
     VerificationResult,
     export_smtlib,
@@ -286,7 +286,7 @@ def cmd_infer(args) -> int:
 def _counterexample_table(result: VerificationResult) -> str:
     ce = result.counterexample
     scope = list(result.proposition.scope)
-    headers = [""] + [f"{gid}:{gtype.value}" for gid, gtype in scope]
+    headers = [""] + [pair_label(pair) for pair in scope]
 
     def fmt(v) -> str:
         if isinstance(v, bool):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Container, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ModelError, json_bool, json_names
 from .geometry import wrap_heading, wrap_signed
-from .scenario import GoalSpec, Route, Scenario, nearest_lane, path_offsets
+from .scenario import GoalSpec, GoalType, Route, Scenario, assign_goal_type, nearest_lane, path_offsets
 
 FEATURE_NAMES: Tuple[str, ...] = (
     "path_to_goal_length",
@@ -266,4 +266,25 @@ def extract_all(
             oncoming_vehicle_dist=oncoming,
         )
     return out
+
+
+def candidates(
+    history,
+    vehicle_id: str,
+    routes: Sequence[Route],
+    scenario: Scenario,
+    trees: Optional[Container[Tuple[str, GoalType]]] = None,
+) -> List[Tuple[Tuple[str, GoalType], Optional[FeatureVector]]]:
+    """((goal id, goal type), feature vector) for each route, in route order.
+
+    The goal type is that of the vehicle's last state in history. Features
+    are extracted unless trees is given and holds none of the pairs; then
+    every vector is None.
+    """
+    state = history.trajectories[vehicle_id][-1]
+    pairs = [(route.goal.goal_id, assign_goal_type(state, route, scenario)) for route in routes]
+    if trees is not None and not any(pair in trees for pair in pairs):
+        return [(pair, None) for pair in pairs]
+    features = extract_all(history, vehicle_id, routes, scenario)
+    return [(pair, features[pair[0]]) for pair in pairs]
 

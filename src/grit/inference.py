@@ -8,8 +8,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from .errors import TrajectoryError
-from .features import extract_all
-from .scenario import GoalType, Scenario, assign_goal_type, reachable_goals
+from .features import candidates
+from .scenario import GoalType, Scenario, reachable_goals
 from .trajectory import Episode
 from .tree import GoalModel, PairKey
 
@@ -148,17 +148,13 @@ def _infer(
     if not routes:
         return GoalPosterior(status=STATUS_NO_GOALS)
 
-    pairs = [
-        (route.goal.goal_id, assign_goal_type(state, route, scenario)) for route in routes
-    ]
-    feats = {}
-    if any(pair in model.trees for pair in pairs):
-        feats = extract_all(history, vehicle_id, routes, scenario)
+    scored = candidates(history, vehicle_id, routes, scenario, model.trees)
     t0 = _lap(timings, "features", t0)
 
+    pairs = [pair for pair, _ in scored]
     likelihoods = [
-        model.likelihood(pair, feats[pair[0]].imputed(model.metadata) if feats else {})
-        for pair in pairs
+        model.likelihood(pair, {} if feats is None else feats.imputed(model.metadata))
+        for pair, feats in scored
     ]
     t0 = _lap(timings, "traversal", t0)
 

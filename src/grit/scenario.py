@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ScenarioError, json_bool, json_names, json_number, read_json
+from .errors import ScenarioError, _shown, json_bool, json_names, json_number, read_json
 from .geometry import (
     Polyline,
     PolylineSet,
@@ -137,7 +137,7 @@ class Scenario:
             try:
                 self._poly[lane.lane_id] = Polyline(lane.centerline)
             except ValueError as exc:
-                raise ScenarioError(f"lane '{lane.lane_id}': {exc}") from exc
+                raise ScenarioError(f"lane {_shown(lane.lane_id)}: {exc}") from exc
         self._validate_refs()
         self._lane_ids = sorted(self.lanes)
         self._segments = PolylineSet([self._poly[lid] for lid in self._lane_ids])
@@ -169,23 +169,23 @@ class Scenario:
             for s in lane.successors:
                 if s not in self.lanes:
                     raise ScenarioError(
-                        f"lane '{lane.lane_id}' references unknown successor '{s}'"
+                        f"lane {_shown(lane.lane_id)} references unknown successor {_shown(s)}"
                     )
             for ref in (lane.left, lane.right):
                 if ref is not None and ref.lane_id not in self.lanes:
                     raise ScenarioError(
-                        f"lane '{lane.lane_id}' references unknown neighbour "
-                        f"'{ref.lane_id}'"
+                        f"lane {_shown(lane.lane_id)} references unknown neighbour "
+                        f"{_shown(ref.lane_id)}"
                     )
         for a, b in self.conflict_pairs:
             for lid in (a, b):
                 if lid not in self.lanes:
-                    raise ScenarioError(f"conflict references unknown lane '{lid}'")
+                    raise ScenarioError(f"conflict references unknown lane {_shown(lid)}")
         for goal in self.goals:
             if goal.radius <= 0.0 or not math.isfinite(goal.radius):
-                raise ScenarioError(f"goal '{goal.goal_id}' has invalid radius")
+                raise ScenarioError(f"goal {_shown(goal.goal_id)} has invalid radius")
             if not (math.isfinite(goal.x) and math.isfinite(goal.y)):
-                raise ScenarioError(f"goal '{goal.goal_id}' has non-finite location")
+                raise ScenarioError(f"goal {_shown(goal.goal_id)} has non-finite location")
 
     def _project_goals(
         self,
@@ -209,7 +209,7 @@ class Scenario:
                         rows.append((lid, s, d))
             if best > GOAL_OFFROAD_LIMIT:
                 raise ScenarioError(
-                    f"goal '{goal.goal_id}' lies {best:.3g} m from the nearest "
+                    f"goal {_shown(goal.goal_id)} lies {best:.3g} m from the nearest "
                     f"lane centerline (limit {GOAL_OFFROAD_LIMIT:.1f} m)"
                 )
             table[goal.goal_id] = rows
@@ -222,7 +222,7 @@ class Scenario:
             hit = polyline_crossing(self._poly[a], self._poly[b])
             if hit is None:
                 raise ScenarioError(
-                    f"conflict pair ('{a}', '{b}') has no crossing point"
+                    f"conflict pair ({_shown(a)}, {_shown(b)}) has no crossing point"
                 )
             s_a, s_b = hit
             table.setdefault(a, []).append((b, s_b))
@@ -284,7 +284,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for item in raw["lanes"]:
         try:
             lane_id = str(item["id"])
-            what = f"malformed lane entry: lane '{lane_id}'"
+            what = f"malformed lane entry: lane {_shown(lane_id)}"
             centerline = tuple(
                 (float(json_number(x, ScenarioError, f"{what} centerline x")),
                  float(json_number(y, ScenarioError, f"{what} centerline y")))
@@ -301,7 +301,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for item in raw["goals"]:
         try:
             goal_id = str(item["id"])
-            what = f"malformed goal entry: goal '{goal_id}'"
+            what = f"malformed goal entry: goal {_shown(goal_id)}"
             x = float(json_number(item["x"], ScenarioError, f"{what} x"))
             y = float(json_number(item["y"], ScenarioError, f"{what} y"))
             radius = item.get("radius", DEFAULT_GOAL_RADIUS)

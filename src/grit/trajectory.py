@@ -29,15 +29,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import TrajectoryError
-from .features import FeatureVector, extract_all
+from .features import FeatureVector, candidates
 from .geometry import wrap_heading
-from .scenario import (
-    GoalSpec,
-    GoalType,
-    Scenario,
-    assign_goal_type,
-    reachable_goals,
-)
+from .scenario import GoalSpec, GoalType, Scenario, reachable_goals
 
 FRACTION_GRID: Tuple[float, ...] = tuple(k / 10.0 for k in range(11))
 
@@ -592,18 +586,16 @@ def build_datasets(
                 routes = reachable_goals(state, scenario)
                 if not routes:
                     continue
-                features = extract_all(history, agent_id, routes, scenario)
-                for route in routes:
-                    gtype = assign_goal_type(state, route, scenario)
+                for (gid, gtype), features in candidates(history, agent_id, routes, scenario):
                     sample = LabeledSample(
                         episode_index=ep_index,
                         agent_id=agent_id,
                         frame_index=cutoff,
                         time=state.time,
-                        goal_id=route.goal.goal_id,
+                        goal_id=gid,
                         goal_type=gtype,
-                        features=features[route.goal.goal_id],
-                        label=route.goal.goal_id == true_goal.goal_id,
+                        features=features,
+                        label=gid == true_goal.goal_id,
                     )
-                    buckets.setdefault((route.goal.goal_id, gtype), []).append(sample)
+                    buckets.setdefault((gid, gtype), []).append(sample)
     return buckets

@@ -13,9 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .errors import ModelError, json_number, read_json
+from .errors import GritError, ModelError, _shown, json_number, read_json
 from .features import (
     BOOLEAN_FEATURES,
     DEFAULT_METADATA,
@@ -197,6 +197,19 @@ def explain(node: TreeNode, x: Mapping[str, Union[float, bool]]) -> List[str]:
 PairKey = Tuple[str, GoalType]
 
 
+def pair_label(pair: PairKey) -> str:
+    """The pair's name, "goal_id:goal_type"."""
+    return f"{pair[0]}:{pair[1].value}"
+
+
+def goal_type_named(name: str, error: type[GritError], where: str = "") -> GoalType:
+    """The goal type whose value is name; else error, prefixed by where."""
+    try:
+        return GoalType(name)
+    except ValueError as exc:
+        raise error(f"{where}unknown goal type {_shown(name)}") from exc
+
+
 @dataclass
 class GoalModel:
     """Trees and priors per (goal, goal type) pair plus feature metadata."""
@@ -232,23 +245,29 @@ class GoalModel:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ModelError(f"priors sum to {total!r}, expected 1")
         for pair, tree in self.trees.items():
-            label = f"{pair[0]}:{pair[1].value}"
+            label = pair_label(pair)
             if tree.likelihood != 0.5:
                 raise ModelError(f"tree {label} root likelihood is not 0.5")
             _validate_node(tree, label, "root")
 
     def describe(self) -> Dict[str, Dict[str, int]]:
         return {
-            f"{gid}:{gtype.value}": {
+            pair_label(pair): {
                 "depth": tree.depth(),
                 "nodes": tree.node_count(),
                 "leaves": tree.leaf_count(),
             }
-            for (gid, gtype), tree in sorted(self.trees.items())
+            for pair, tree in sorted(self.trees.items())
         }
 
 
 def _validate_metadata(metadata: FeatureMetadata) -> None:
+    for group in ("per_goal", "shared", "boolean", "domains", "imputation"):
+        for name in getattr(metadata, group):
+            if name not in FEATURE_NAMES:
+                raise ModelError(f"feature metadata '{group}' names unknown feature {_shown(name)}")
+            if group == "shared" and name in metadata.per_goal:
+                raise ModelError(f"feature {_shown(name)} is listed in both 'per_goal' and 'shared'")
     for name in DEFAULT_METADATA.imputation:
         json_number(metadata.imputation.get(name), ModelError, f"imputation value of '{name}'")
     for name, (lo, hi, hi_open) in metadata.domains.items():
@@ -344,6 +363,13 @@ def _node_from_dict(doc: object, label: str) -> TreeNode:
     )
 
 
+def _by_pair(raw: dict, group: str) -> Iterator[Tuple[PairKey, object]]:
+    """(pair, value) for each entry of a {goal id: {goal type: value}} group."""
+    for gid, by_type in _object(raw.get(group, {}), group).items():
+        for type_name, value in _object(by_type, f"{group} of {gid}").items():
+            yield (gid, goal_type_named(type_name, ModelError)), value
+
+
 def model_to_dict(model: GoalModel) -> dict:
     trees: Dict[str, Dict[str, dict]] = {}
     for (gid, gtype), tree in sorted(model.trees.items()):
@@ -375,23 +401,11 @@ def _model_from_dict(raw: dict) -> GoalModel:
         metadata = FeatureMetadata.from_dict(raw["features"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed feature metadata: {exc}") from exc
-    trees: Dict[PairKey, TreeNode] = {}
-    for gid, by_type in _object(raw.get("trees", {}), "trees").items():
-        for type_name, doc in _object(by_type, f"trees of {gid}").items():
-            try:
-                gtype = GoalType(type_name)
-            except ValueError as exc:
-                raise ModelError(f"unknown goal type '{type_name}'") from exc
-            trees[(gid, gtype)] = _node_from_dict(doc, f"{gid}:{type_name}")
-    priors: Dict[PairKey, float] = {}
-    for gid, by_type in _object(raw.get("priors", {}), "priors").items():
-        for type_name in _object(by_type, f"priors of {gid}"):
-            try:
-                gtype = GoalType(type_name)
-            except ValueError as exc:
-                raise ModelError(f"unknown goal type '{type_name}'") from exc
-            what = f"prior of {gid}:{type_name}"
-            priors[(gid, gtype)] = float(json_number(by_type[type_name], ModelError, what))
+    trees = {pair: _node_from_dict(doc, pair_label(pair)) for pair, doc in _by_pair(raw, "trees")}
+    priors = {
+        pair: float(json_number(p, ModelError, f"prior of {pair_label(pair)}"))
+        for pair, p in _by_pair(raw, "priors")
+    }
     floor = float(json_number(raw.get("prior_floor", 0.0), ModelError, "prior floor"))
     model = GoalModel(trees=trees, priors=priors, metadata=metadata, prior_floor=floor)
     model.validate()

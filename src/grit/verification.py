@@ -29,13 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ModelError, PropositionError, json_bool, json_number, read_json
 from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
 from .inference import goal_sums, posterior, scoped_priors
-from .scenario import GoalType
-from .tree import GoalModel, PairKey, TreeNode
+from .tree import GoalModel, PairKey, TreeNode, goal_type_named, pair_label
 
 EPS_OPEN = 1e-6
 
@@ -146,8 +145,19 @@ def feature_domain(feature: str, metadata: FeatureMetadata) -> Domain:
 def var_key(pair: PairKey, feature: str, metadata: FeatureMetadata) -> str:
     """Per-goal features get one variable per pair; the rest are shared."""
     if feature in metadata.per_goal:
-        return f"{pair[0]}:{pair[1].value}:{feature}"
+        return f"{pair_label(pair)}:{feature}"
     return feature
+
+
+def scope_variables(scope: Sequence[PairKey], metadata: FeatureMetadata) -> Dict[str, str]:
+    """Variable key -> feature for the pairs in scope, in first-seen order:
+    each per-goal feature once per pair, each shared feature once."""
+    return {var_key(pair, f, metadata): f for pair in scope for f in FEATURE_NAMES}
+
+
+def _full_domains(scope: Sequence[PairKey], metadata: FeatureMetadata) -> Dict[str, Domain]:
+    """The full feature domain of every variable of the pairs in scope."""
+    return {key: feature_domain(f, metadata) for key, f in scope_variables(scope, metadata).items()}
 
 
 # -- leaf boxes -----------------------------------------------------------------
@@ -170,10 +180,7 @@ def enumerate_paths(
     Boxes start from the full feature domains, so together they partition
     the domain product. A missing tree yields the single uninformed box.
     """
-    base: Dict[str, Domain] = {
-        var_key(pair, f, metadata): feature_domain(f, metadata)
-        for f in FEATURE_NAMES
-    }
+    base = _full_domains((pair,), metadata)
     if tree is None:
         return [PathBox(dict(base), 0.5, 0)]
     boxes: List[PathBox] = []
@@ -250,9 +257,7 @@ def _compiled(
         try:
             found = per_tree[key] = build(tree, pair, metadata)
         except RecursionError as exc:
-            raise ModelError(
-                f"tree {pair[0]}:{pair[1].value} is nested too deeply"
-            ) from exc
+            raise ModelError(f"tree {pair_label(pair)} is nested too deeply") from exc
     return found
 
 
@@ -260,7 +265,7 @@ def _narrowed_boxes(
     tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata
 ) -> List[Tuple[PathBox, _Narrowed]]:
     """enumerate_paths' boxes, each with the restrictions its path narrows."""
-    full = {var_key(pair, f, metadata): feature_domain(f, metadata) for f in FEATURE_NAMES}
+    full = _full_domains((pair,), metadata)
     return [
         (box, tuple((k, d) for k, d in box.constraints.items() if d != full[k]))
         for box in enumerate_paths(tree, pair, metadata)
@@ -296,7 +301,7 @@ class Atom:
         return Interval(lo=v, hi=v)
 
     def render(self) -> str:
-        where = f"{self.pair[0]}:{self.pair[1].value}." if self.pair else ""
+        where = f"{pair_label(self.pair)}." if self.pair else ""
         return f"{where}{self.feature} {self.op} {self.value}"
 
 
@@ -324,11 +329,8 @@ class Proposition:
     description: str = ""
 
     def goals(self) -> List[str]:
-        seen: List[str] = []
-        for gid, _ in self.scope:
-            if gid not in seen:
-                seen.append(gid)
-        return seen
+        """The goals of the scope, in first-seen order."""
+        return list(dict.fromkeys(gid for gid, _ in self.scope))
 
     def render(self) -> str:
         if self.antecedent:
@@ -341,10 +343,7 @@ def _parse_pair(raw: object, where: str) -> PairKey:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise PropositionError(f"{where}: pair must be [goal_id, goal_type]")
     gid, type_name = raw
-    try:
-        return str(gid), GoalType(str(type_name))
-    except ValueError as exc:
-        raise PropositionError(f"{where}: unknown goal type '{type_name}'") from exc
+    return str(gid), goal_type_named(str(type_name), PropositionError, f"{where}: ")
 
 
 def proposition_from_dict(
@@ -473,7 +472,7 @@ class Counterexample:
 
     def to_dict(self) -> dict:
         def by_pair(table: Mapping[PairKey, object]) -> dict:
-            return {f"{gid}:{gtype.value}": v for (gid, gtype), v in table.items()}
+            return {pair_label(pair): v for pair, v in table.items()}
 
         return {
             "assignment": dict(self.assignment),
@@ -529,6 +528,12 @@ def _violation(
     return None
 
 
+def _atom_key(atom: Atom, scope: Sequence[PairKey], metadata: FeatureMetadata) -> str:
+    """The variable an antecedent atom constrains: a per-goal feature's at
+    the atom's pair, a shared feature anchored at the first pair in scope."""
+    return var_key(atom.pair if atom.pair is not None else scope[0], atom.feature, metadata)
+
+
 def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
     """Decide the proposition over the whole constrained feature space.
 
@@ -543,15 +548,9 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
     scope_goals = [gid for gid, _ in scope]
     priors = scoped_priors(model, scope)
 
-    env: Dict[str, Domain] = {}
-    for pair in scope:
-        for f in FEATURE_NAMES:
-            key = var_key(pair, f, metadata)
-            if key not in env:
-                env[key] = feature_domain(f, metadata)
+    env = _full_domains(scope, metadata)
     for atom in prop.antecedent:
-        anchor = atom.pair if atom.pair is not None else scope[0]
-        key = var_key(anchor, atom.feature, metadata)
+        key = _atom_key(atom, scope, metadata)
         if atom.feature in metadata.boolean:
             restriction: Domain = frozenset((bool(atom.value),))
         else:
@@ -601,24 +600,19 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
         assert found is not None
         chosen, final_env, reason, probs = found
         assignment = {key: _domain_witness(d) for key, d in sorted(final_env.items())}
-        features: Dict[PairKey, Dict[str, Value]] = {}
-        likelihoods: Dict[PairKey, float] = {}
-        leaf_indices: Dict[PairKey, int] = {}
-        for pair, box in zip(scope, chosen):
-            features[pair] = {
-                f: assignment[var_key(pair, f, metadata)] for f in FEATURE_NAMES
-            }
-            likelihoods[pair] = box.likelihood
-            leaf_indices[pair] = box.leaf_index
+        features = {
+            pair: {f: assignment[var_key(pair, f, metadata)] for f in FEATURE_NAMES} for pair in scope
+        }
+        likelihoods = {pair: box.likelihood for pair, box in zip(scope, chosen)}
         _replay(model, scope, features, likelihoods, priors, probs)
         ce = Counterexample(
             assignment=assignment,
             features=features,
             likelihoods=likelihoods,
-            priors={pair: pr for pair, pr in zip(scope, priors)},
-            posterior={pair: p for pair, p in zip(scope, probs)},
+            priors=dict(zip(scope, priors)),
+            posterior=dict(zip(scope, probs)),
             p_goal=goal_sums(scope_goals, probs),
-            leaf_indices=leaf_indices,
+            leaf_indices={pair: box.leaf_index for pair, box in zip(scope, chosen)},
             reason=reason,
         )
         return VerificationResult(prop, verified=False, counterexample=ce, boxes_checked=checked)
@@ -639,9 +633,7 @@ def _replay(
         like = model.likelihood(pair, features[pair])
         replayed.append(like)
         if like != likelihoods[pair]:
-            raise PropositionError(
-                f"witness replay diverged on {pair[0]}:{pair[1].value}"
-            )
+            raise PropositionError(f"witness replay diverged on {pair_label(pair)}")
     if posterior(replayed, list(priors)) != list(probs):
         raise PropositionError("witness replay produced a different posterior")
 
@@ -664,11 +656,16 @@ def _smt_sym(name: str) -> str:
     return name.replace(":", ".")
 
 
+def _smt_apply(op: str, terms: Sequence[str]) -> str:
+    """(op term ...), or the term itself when there is only one."""
+    return terms[0] if len(terms) == 1 else f"({op} {' '.join(terms)})"
+
+
 def _smt_tree(tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata) -> str:
     """The tree's node Booleans and leaf likelihoods as SMT-LIB lines."""
-    gid, gtype = pair
-    pair_sym = _smt_sym(f"{gid}:{gtype.value}")
-    lines = [f"; tree {gid}:{gtype.value}"]
+    label = pair_label(pair)
+    pair_sym = _smt_sym(label)
+    lines = [f"; tree {label}"]
     if tree is None:
         lines.append(f"(assert (= L.{pair_sym} {_rat(0.5)}))")
         return "\n".join(lines)
@@ -724,27 +721,21 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
         f"; claim: {prop.render()}",
     ]
 
-    declared: Set[str] = set()
-    for pair in scope:
-        for f in FEATURE_NAMES:
-            key = var_key(pair, f, metadata)
-            if key in declared:
-                continue
-            declared.add(key)
-            sym = _smt_sym(key)
-            if f in metadata.boolean:
-                lines.append(f"(declare-const {sym} Bool)")
-                continue
-            lines.append(f"(declare-const {sym} Real)")
-            lo, hi, hi_open = metadata.domains.get(f, (None, None, False))
-            if lo is not None:
-                lines.append(f"(assert (>= {sym} {_rat(lo)}))")
-            if hi is not None:
-                op = "<" if hi_open else "<="
-                lines.append(f"(assert ({op} {sym} {_rat(hi)}))")
+    for key, f in scope_variables(scope, metadata).items():
+        sym = _smt_sym(key)
+        if f in metadata.boolean:
+            lines.append(f"(declare-const {sym} Bool)")
+            continue
+        lines.append(f"(declare-const {sym} Real)")
+        lo, hi, hi_open = metadata.domains.get(f, (None, None, False))
+        if lo is not None:
+            lines.append(f"(assert (>= {sym} {_rat(lo)}))")
+        if hi is not None:
+            op = "<" if hi_open else "<="
+            lines.append(f"(assert ({op} {sym} {_rat(hi)}))")
 
-    for gid, gtype in scope:
-        pair_sym = _smt_sym(f"{gid}:{gtype.value}")
+    pair_syms = [_smt_sym(pair_label(pair)) for pair in scope]
+    for pair_sym in pair_syms:
         lines.append(f"(declare-const L.{pair_sym} Real)")
 
     metadata_key = _metadata_key(metadata)
@@ -753,8 +744,7 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
 
     lines.append("; antecedent")
     for atom in prop.antecedent:
-        anchor = atom.pair if atom.pair is not None else scope[0]
-        sym = _smt_sym(var_key(anchor, atom.feature, metadata))
+        sym = _smt_sym(_atom_key(atom, scope, metadata))
         if atom.feature in metadata.boolean:
             lines.append(f"(assert {sym})" if atom.value else f"(assert (not {sym}))")
             continue
@@ -763,40 +753,24 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
 
     lines.append("; unnormalized goal scores")
     terms_by_goal: Dict[str, List[str]] = {}
-    for (gid, gtype), prior in zip(scope, priors):
-        pair_sym = _smt_sym(f"{gid}:{gtype.value}")
+    for (gid, _), pair_sym, prior in zip(scope, pair_syms, priors):
         terms_by_goal.setdefault(gid, []).append(f"(* L.{pair_sym} {_rat(prior)})")
-    for gid in prop.goals():
-        terms = terms_by_goal[gid]
-        expr = terms[0] if len(terms) == 1 else "(+ " + " ".join(terms) + ")"
-        lines.append(f"(declare-const S.{_smt_sym(gid)} Real)")
-        lines.append(f"(assert (= S.{_smt_sym(gid)} {expr}))")
+    scores = {gid: f"S.{_smt_sym(gid)}" for gid in prop.goals()}
+    for gid, score in scores.items():
+        lines.append(f"(declare-const {score} Real)")
+        lines.append(f"(assert (= {score} {_smt_apply('+', terms_by_goal[gid])}))")
 
     cons = prop.consequent
-    goal_sym = f"S.{_smt_sym(cons.goal)}"
+    goal_sym = scores[cons.goal]
     lines.append("; negated consequent")
     if cons.kind == "argmax_is":
-        others = [g for g in prop.goals() if g != cons.goal]
-        parts = [f"(>= S.{_smt_sym(g)} {goal_sym})" for g in others]
-        if not parts:
-            body = "false"
-        elif len(parts) == 1:
-            body = parts[0]
-        else:
-            body = "(or " + " ".join(parts) + ")"
-        lines.append(f"(assert {body})")
+        parts = [f"(>= {score} {goal_sym})" for gid, score in scores.items() if gid != cons.goal]
+        lines.append(f"(assert {_smt_apply('or', parts) if parts else 'false'})")
     elif cons.kind == "prob_greater":
-        lines.append(f"(assert (<= {goal_sym} S.{_smt_sym(cons.other)}))")
+        lines.append(f"(assert (<= {goal_sym} {scores[cons.other]}))")
     else:
-        total_terms = [f"S.{_smt_sym(g)}" for g in prop.goals()]
-        total = (
-            total_terms[0]
-            if len(total_terms) == 1
-            else "(+ " + " ".join(total_terms) + ")"
-        )
-        lines.append(
-            f"(assert (< {goal_sym} (* {_rat(cons.threshold)} {total})))"
-        )
+        total = _smt_apply("+", list(scores.values()))
+        lines.append(f"(assert (< {goal_sym} (* {_rat(cons.threshold)} {total})))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"

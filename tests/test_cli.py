@@ -701,6 +701,28 @@ def _set(*path_and_value):
     return edit
 
 
+def _append(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc.append(value)
+
+    return edit
+
+
+def _each(*edits):
+    def edit(doc):
+        for one in edits:
+            one(doc)
+
+    return edit
+
+
+LONG = "x" * 5000  # an identifier far longer than an error line
+
+
 def _line_break_id_csv(text):
     # an id holding U+2028 on every row of its agent, then a bad row at line 5
     header, *rows = text.splitlines()
@@ -761,6 +783,41 @@ MALFORMED_INPUTS = {
     ),
     "line break character in an agent id": (
         "eval", "trajectories", _line_break_id_csv, "malformed row at line 5",
+    ),
+    "unknown per-goal feature name": (
+        "verify", "model", lambda t: _edited(t, _append("features", "per_goal", "nonsense")),
+        "feature metadata 'per_goal' names unknown feature 'nonsense'",
+    ),
+    "unknown feature in domains and imputation": (
+        "verify", "model",
+        lambda t: _edited(t, _each(
+            _set("features", "domains", "speeed", {"lo": 0.0, "hi": None, "hi_open": False}),
+            _set("features", "imputation", "speeed", "fast"),
+        )),
+        "feature metadata 'domains' names unknown feature 'speeed'",
+    ),
+    "feature both per-goal and shared": (
+        "verify", "model", lambda t: _edited(t, _append("features", "per_goal", "speed")),
+        "feature 'speed' is listed in both 'per_goal' and 'shared'",
+    ),
+    "goal id of 5000 characters": (
+        "infer", "scenario",
+        lambda t: _edited(t, _each(_set("goals", 0, "id", LONG), _set("goals", 0, "x", "2.0"))),
+        "goal 'xxxxxxxx",
+    ),
+    "lane id of 5000 characters": (
+        "infer", "scenario",
+        lambda t: _edited(t, _each(_set("lanes", 0, "id", LONG),
+                                   _set("lanes", 0, "centerline", 0, ["2.0", 0.0]))),
+        "lane 'xxxxxxxx",
+    ),
+    "model goal type of 5000 characters": (
+        "verify", "model", lambda t: _edited(t, _set("trees", "G_a", LONG, {"L": 0.5})),
+        "unknown goal type 'xxxxxxxx",
+    ),
+    "proposition goal type of 5000 characters": (
+        "verify", "prop", lambda t: _edited(t, _set("scope", 0, 1, LONG)),
+        "scope: unknown goal type 'xxxxxxxx",
     ),
 }
 
