@@ -5,173 +5,10 @@ trajectories into per-(goal, maneuver) training samples, fit small decision
 trees whose nodes carry goal likelihoods, combine them with priors into a
 Bayesian posterior over reachable goals, and formally check properties of
 the resulting model, producing concrete counterexamples when they fail.
+
+Import from the submodules (grit.scenario, grit.trajectory, grit.training,
+grit.inference, grit.verification, ...); the package exports only its
+version.
 """
 
-from .errors import (
-    GritError,
-    ModelError,
-    PropositionError,
-    ScenarioError,
-    TrajectoryError,
-)
-from .features import (
-    FEATURE_NAMES,
-    DEFAULT_METADATA,
-    FeatureMetadata,
-    FeatureVector,
-    extract_all,
-)
-from .inference import (
-    GoalEstimate,
-    GoalPosterior,
-    infer,
-    infer_no_dt,
-    normalized_entropy,
-    posterior,
-)
-from .scenario import (
-    GoalSpec,
-    GoalType,
-    Lane,
-    Route,
-    Scenario,
-    assign_goal_type,
-    classify_heading_change,
-    load_scenario,
-    reachable_goals,
-    save_scenario,
-)
-from .trajectory import (
-    AgentState,
-    Episode,
-    LabeledSample,
-    build_datasets,
-    derive_kinematics,
-    fraction_cutoffs,
-    ground_truth_goal,
-    history_for,
-    load_trajectories,
-    sample_points,
-    save_trajectories,
-)
-from .training import (
-    TrainConfig,
-    estimate_priors,
-    fit_tree,
-    grid_search,
-    prune,
-    train_model,
-    validation_loss,
-)
-from .tree import (
-    DecisionRule,
-    GoalModel,
-    TreeNode,
-    edge_weights,
-    load_model,
-    node_likelihood,
-    save_model,
-    traverse,
-)
-from .verification import (
-    Counterexample,
-    Interval,
-    PathBox,
-    Proposition,
-    VerificationResult,
-    enumerate_paths,
-    export_smtlib,
-    load_proposition,
-    verify,
-)
-from .evaluation import (
-    BenchmarkReport,
-    EvalReport,
-    benchmark,
-    build_template,
-    evaluate,
-    generate_synthetic,
-)
-from .assets import (
-    desk_assets,
-    proposition_asset,
-    proposition_assets,
-    smt_pair_assets,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GritError",
-    "ModelError",
-    "PropositionError",
-    "ScenarioError",
-    "TrajectoryError",
-    "FEATURE_NAMES",
-    "DEFAULT_METADATA",
-    "FeatureMetadata",
-    "FeatureVector",
-    "extract_all",
-    "GoalEstimate",
-    "GoalPosterior",
-    "infer",
-    "infer_no_dt",
-    "normalized_entropy",
-    "posterior",
-    "GoalSpec",
-    "GoalType",
-    "Lane",
-    "Route",
-    "Scenario",
-    "assign_goal_type",
-    "classify_heading_change",
-    "load_scenario",
-    "reachable_goals",
-    "save_scenario",
-    "AgentState",
-    "Episode",
-    "LabeledSample",
-    "build_datasets",
-    "derive_kinematics",
-    "fraction_cutoffs",
-    "ground_truth_goal",
-    "history_for",
-    "load_trajectories",
-    "sample_points",
-    "save_trajectories",
-    "TrainConfig",
-    "estimate_priors",
-    "fit_tree",
-    "grid_search",
-    "prune",
-    "train_model",
-    "validation_loss",
-    "DecisionRule",
-    "GoalModel",
-    "TreeNode",
-    "edge_weights",
-    "load_model",
-    "node_likelihood",
-    "save_model",
-    "traverse",
-    "Counterexample",
-    "Interval",
-    "PathBox",
-    "Proposition",
-    "VerificationResult",
-    "enumerate_paths",
-    "export_smtlib",
-    "load_proposition",
-    "verify",
-    "BenchmarkReport",
-    "EvalReport",
-    "benchmark",
-    "build_template",
-    "evaluate",
-    "generate_synthetic",
-    "desk_assets",
-    "proposition_asset",
-    "proposition_assets",
-    "smt_pair_assets",
-    "__version__",
-]

@@ -45,10 +45,16 @@ def read_json(path: str | Path, error: type[GritError], what: str) -> object:
         raise error(f"{what} file is not valid JSON: {exc}") from exc
 
 
+def _cut(name: object) -> str:
+    """str(name) cut to 40 characters: how error messages print an
+    identifier, which may come from a file and be of any length."""
+    return str(name)[:40]
+
+
 def _shown(value: object) -> str:
-    """repr(value) cut to 40 characters, for error messages."""
+    """repr(value) cut like an identifier, for error messages."""
     try:
-        return f"{value!r:.40}"
+        return _cut(repr(value))
     except (ValueError, RecursionError):  # an int beyond the str-digit limit
         return type(value).__name__
 

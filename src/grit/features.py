@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Container, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ModelError, json_bool, json_names
+from .errors import ModelError, _cut, json_bool, json_names
 from .geometry import wrap_heading, wrap_signed
 from .scenario import GoalSpec, GoalType, Route, Scenario, assign_goal_type, nearest_lane, path_offsets
 
@@ -89,7 +89,9 @@ class FeatureMetadata:
             },
             imputation={**raw["imputation"]},
             domains={
-                name: (d["lo"], d["hi"], json_bool(d["hi_open"], ModelError, f"'{name}' hi_open"))
+                name: (
+                    d["lo"], d["hi"], json_bool(d["hi_open"], ModelError, f"'{_cut(name)}' hi_open")
+                )
                 for name, d in raw["domains"].items()
             },
         )

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
-from .errors import TrajectoryError
+from .errors import TrajectoryError, _cut
 from .features import candidates
 from .scenario import GoalType, Scenario, reachable_goals
 from .trajectory import Episode
@@ -139,7 +139,7 @@ def _infer(
 ) -> GoalPosterior:
     """Body of infer and infer_no_dt."""
     if vehicle_id not in history.trajectories:
-        raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
+        raise TrajectoryError(f"unknown vehicle '{_cut(vehicle_id)}'")
     state = history.trajectories[vehicle_id][-1]
 
     t0 = time.perf_counter()

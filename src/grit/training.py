@@ -49,9 +49,10 @@ def _entropy_bits(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
-def _rows_to_arrays(
+def _rows_to_columns(
     rows: Sequence[Mapping[str, object]]
 ) -> Tuple[np.ndarray, List[str]]:
+    """The feature table, one row per sorted feature name, and those names."""
     if not rows:
         raise ModelError("cannot fit a tree on an empty dataset")
     names = sorted(rows[0])
@@ -59,7 +60,7 @@ def _rows_to_arrays(
     for name in names:
         if name not in FEATURE_NAMES:
             raise ModelError(f"unknown feature '{name}'")
-    X = np.empty((len(rows), len(names)), dtype=float)
+    columns = np.empty((len(names), len(rows)), dtype=float)
     for i, row in enumerate(rows):
         if set(row) != key_set:
             raise ModelError("all samples must share the same feature keys")
@@ -69,8 +70,65 @@ def _rows_to_arrays(
                 raise ModelError(
                     f"feature '{name}' is missing in sample {i}; impute before fitting"
                 )
-            X[i, j] = float(value)
-    return X, names
+            columns[j, i] = float(value)
+    return columns, names
+
+
+def best_split(
+    columns: np.ndarray,
+    y: np.ndarray,
+    idx: np.ndarray,
+    w_pos: float,
+    w_neg: float,
+) -> Optional[Tuple[int, float, float]]:
+    """(column, threshold, gain) of the best split of the rows idx, or None.
+
+    columns holds one row per feature (features × samples), y the labels
+    and idx the node's samples in ascending order. Every column of the node
+    is scored in one pass: one stable argsort, one cumulative positive count
+    and one gain array, with positions that are not a cut between distinct
+    values set to -inf. The tie rule is fit_tree's: the lexicographically
+    first feature (lowest column) keeps a tie, later columns must beat it
+    by a strictly larger gain, and within a column the first maximum (the
+    smallest threshold) wins. A gain that is not finite or not above
+    _GAIN_TOL never splits; a NaN gain takes its column's argmax and so
+    rules that column out.
+
+    Impurity uses the class weights on raw node counts, so a pure node
+    has zero entropy and never splits, regardless of smoothing.
+    """
+    ys = y[idx]
+    pos_here = int(ys.sum())
+    neg_here = idx.size - pos_here
+    parent_mass = w_pos * pos_here + w_neg * neg_here
+    if parent_mass <= 0:
+        return None
+    parent_h = _entropy_bits(w_pos * pos_here / parent_mass)
+    cols = columns[:, idx]
+    order = np.argsort(cols, axis=1, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=1)
+    is_cut = xs[:, :-1] < xs[:, 1:]
+    if not is_cut.any():
+        return None
+    pos_l = np.cumsum(ys[order[:, :-1]], axis=1).astype(float)
+    n_l = np.arange(1.0, idx.size)
+    neg_l = n_l - pos_l
+    pos_r = pos_here - pos_l
+    neg_r = neg_here - neg_l
+    m_l = w_pos * pos_l + w_neg * neg_l
+    m_r = w_pos * pos_r + w_neg * neg_r
+    h_l = _vec_entropy(w_pos * pos_l / m_l)
+    h_r = _vec_entropy(w_pos * pos_r / m_r)
+    gains = parent_h - (m_l * h_l + m_r * h_r) / parent_mass
+    gains[~is_cut] = -np.inf
+    best: Optional[Tuple[int, float, float]] = None
+    for j, k in enumerate(gains.argmax(axis=1).tolist()):
+        gain = float(gains[j, k])
+        if not math.isfinite(gain) or gain <= _GAIN_TOL:
+            continue
+        if best is None or gain > best[2]:
+            best = (j, float((xs[j, k] + xs[j, k + 1]) / 2.0), gain)
+    return best
 
 
 def fit_tree(
@@ -81,16 +139,18 @@ def fit_tree(
     """Grow a likelihood tree by recursive binary splitting.
 
     Rows are feature maps sharing one key set (any subset of the known
-    features); missing values must already be imputed. Threshold candidates
-    are midpoints between consecutive distinct values; the split with the
-    highest weighted information gain wins, ties going to the
-    lexicographically first feature and then the smallest threshold.
-    Growth stops at max_depth, below min_samples_split, or when no split
-    has positive gain. With alpha = 0 the data must contain both classes.
+    features, possibly none); missing values must already be imputed.
+    Threshold candidates are midpoints between consecutive distinct values;
+    the split with the highest weighted information gain wins, ties going
+    to the lexicographically first feature and then the smallest threshold.
+    best_split scores all feature columns of a node together, under that
+    same tie rule. Growth stops at max_depth, below min_samples_split, or
+    when no split has positive gain. With alpha = 0 the data must contain
+    both classes.
     """
-    X, names = _rows_to_arrays(rows)
+    columns, names = _rows_to_columns(rows)
     y = np.asarray(labels, dtype=bool)
-    if y.shape != (X.shape[0],):
+    if y.shape != (columns.shape[1],):
         raise ModelError("labels must match samples one to one")
     n_pos = int(y.sum())
     n_neg = int(y.size) - n_pos
@@ -103,68 +163,23 @@ def fit_tree(
     w_pos = total_mass / (n_pos + alpha)
     w_neg = total_mass / (n_neg + alpha)
 
-    def node_p(node_pos: float, node_neg: float, parent: float) -> float:
-        return node_likelihood(node_pos, node_neg, n_pos, n_neg, alpha, parent)
-
-    def best_split(idx: np.ndarray) -> Optional[Tuple[int, float, float]]:
-        """(column, threshold, gain) of the best candidate, or None.
-
-        Impurity uses the class weights on raw node counts, so a pure node
-        has zero entropy and never splits, regardless of smoothing.
-        """
-        ys = y[idx]
-        pos_here = int(ys.sum())
-        neg_here = idx.size - pos_here
-        parent_mass = w_pos * pos_here + w_neg * neg_here
-        if parent_mass <= 0:
-            return None
-        parent_h = _entropy_bits(w_pos * pos_here / parent_mass)
-        best: Optional[Tuple[int, float, float]] = None
-        for j in range(len(names)):
-            col = X[idx, j]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            ls = ys[order]
-            cuts = np.nonzero(xs[:-1] < xs[1:])[0]
-            if cuts.size == 0:
-                continue
-            cum_pos = np.cumsum(ls)
-            pos_l = cum_pos[cuts].astype(float)
-            n_l = (cuts + 1).astype(float)
-            neg_l = n_l - pos_l
-            pos_r = pos_here - pos_l
-            neg_r = neg_here - neg_l
-            m_l = w_pos * pos_l + w_neg * neg_l
-            m_r = w_pos * pos_r + w_neg * neg_r
-            h_l = _vec_entropy(w_pos * pos_l / m_l)
-            h_r = _vec_entropy(w_pos * pos_r / m_r)
-            gains = parent_h - (m_l * h_l + m_r * h_r) / parent_mass
-            k = int(np.argmax(gains))
-            gain = float(gains[k])
-            if not math.isfinite(gain) or gain <= _GAIN_TOL:
-                continue
-            if best is None or gain > best[2]:
-                thr = float((xs[cuts[k]] + xs[cuts[k] + 1]) / 2.0)
-                best = (j, thr, gain)
-        return best
-
     def grow(idx: np.ndarray, depth: int, parent_l: float) -> TreeNode:
         pos_here = int(y[idx].sum())
         neg_here = idx.size - pos_here
-        likelihood = node_p(pos_here, neg_here, parent_l)
+        likelihood = node_likelihood(pos_here, neg_here, n_pos, n_neg, alpha, parent_l)
         found = None
         if depth < config.max_depth and idx.size >= config.min_samples_split:
-            found = best_split(idx)
+            found = best_split(columns, y, idx, w_pos, w_neg)
         if found is None:
             return TreeNode(likelihood, n_pos=pos_here, n_neg=neg_here)
         j, thr, _ = found
         name = names[j]
         if name in BOOLEAN_FEATURES:
             rule = DecisionRule(name, "boolean")
-            true_mask = X[idx, j] >= thr
+            true_mask = columns[j, idx] >= thr
         else:
             rule = DecisionRule(name, "threshold", thr)
-            true_mask = X[idx, j] < thr
+            true_mask = columns[j, idx] < thr
         true_child = grow(idx[true_mask], depth + 1, likelihood)
         false_child = grow(idx[~true_mask], depth + 1, likelihood)
         true_weight, false_weight = edge_weights(

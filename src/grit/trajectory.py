@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import TrajectoryError
+from .errors import TrajectoryError, _cut
 from .features import FeatureVector, candidates
 from .geometry import wrap_heading
 from .scenario import GoalSpec, GoalType, Scenario, reachable_goals
@@ -168,7 +168,7 @@ class Episode:
         for agent_id in trajectories:
             states = tuple(trajectories[agent_id])
             if not states:
-                raise TrajectoryError(f"agent '{agent_id}' has no states")
+                raise TrajectoryError(f"agent '{_cut(agent_id)}' has no states")
             times = [s.time for s in states]
             _check_frame_times(agent_id, times, dt)
             self.trajectories[agent_id] = states
@@ -217,9 +217,9 @@ def _check_frame_times(agent_id: str, times: Sequence[float], dt: float) -> None
     if bad.any():
         gap = float(gaps[bad.argmax()])
         if gap <= 0.0:
-            raise TrajectoryError(f"agent '{agent_id}' has out-of-order timestamps")
+            raise TrajectoryError(f"agent '{_cut(agent_id)}' has out-of-order timestamps")
         raise TrajectoryError(
-            f"agent '{agent_id}' frame gap {gap:.6f} does not match "
+            f"agent '{_cut(agent_id)}' frame gap {gap:.6f} does not match "
             f"1/frame_rate = {dt:.6f}"
         )
 
@@ -369,7 +369,7 @@ def _load_rows(lines: List[str], frame_rate: float) -> Episode:
         if prev is None:
             prev = rows[agent] = []
         elif t <= prev[-1][0]:
-            raise TrajectoryError(f"agent '{agent}' has out-of-order timestamps")
+            raise TrajectoryError(f"agent '{_cut(agent)}' has out-of-order timestamps")
         prev.append((t, x, y, heading, speed, accel, lineno))
 
     trajectories: Dict[str, List[AgentState]] = {}
@@ -521,11 +521,11 @@ def history_for(episode: Episode, vehicle_id: str, cutoff_index: int) -> Episode
     state is copied or validated again.
     """
     if vehicle_id not in episode.trajectories:
-        raise TrajectoryError(f"unknown vehicle '{vehicle_id}'")
+        raise TrajectoryError(f"unknown vehicle '{_cut(vehicle_id)}'")
     subject = episode.trajectories[vehicle_id]
     if not (0 <= cutoff_index < len(subject)):
         raise TrajectoryError(
-            f"frame {cutoff_index} out of range for vehicle '{vehicle_id}'"
+            f"frame {cutoff_index} out of range for vehicle '{_cut(vehicle_id)}'"
         )
     t_first = subject[0].time - _TIME_TOL
     t_cut = subject[cutoff_index].time + _TIME_TOL

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from .errors import GritError, ModelError, _shown, json_number, read_json
+from .errors import GritError, ModelError, _cut, _shown, json_number, read_json
 from .features import (
     BOOLEAN_FEATURES,
     DEFAULT_METADATA,
@@ -240,12 +240,12 @@ class GoalModel:
         total = 0.0
         for pair, p in self.priors.items():
             if p < 0 or not math.isfinite(p):
-                raise ModelError(f"prior for {pair} is invalid")
+                raise ModelError(f"prior for {_cut(pair_label(pair))} is invalid")
             total += p
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ModelError(f"priors sum to {total!r}, expected 1")
         for pair, tree in self.trees.items():
-            label = pair_label(pair)
+            label = _cut(pair_label(pair))
             if tree.likelihood != 0.5:
                 raise ModelError(f"tree {label} root likelihood is not 0.5")
             _validate_node(tree, label, "root")
@@ -347,7 +347,7 @@ def _node_from_dict(doc: object, label: str) -> TreeNode:
     elif op == "is":
         rule = DecisionRule(feature, "boolean")
     else:
-        raise ModelError(f"tree {label}: unknown rule op '{op}'")
+        raise ModelError(f"tree {label}: unknown rule op '{_cut(op)}'")
     try:
         true_child = _node_from_dict(doc["true"], label)
         false_child = _node_from_dict(doc["false"], label)
@@ -366,7 +366,7 @@ def _node_from_dict(doc: object, label: str) -> TreeNode:
 def _by_pair(raw: dict, group: str) -> Iterator[Tuple[PairKey, object]]:
     """(pair, value) for each entry of a {goal id: {goal type: value}} group."""
     for gid, by_type in _object(raw.get(group, {}), group).items():
-        for type_name, value in _object(by_type, f"{group} of {gid}").items():
+        for type_name, value in _object(by_type, f"{group} of {_cut(gid)}").items():
             yield (gid, goal_type_named(type_name, ModelError)), value
 
 
@@ -401,9 +401,11 @@ def _model_from_dict(raw: dict) -> GoalModel:
         metadata = FeatureMetadata.from_dict(raw["features"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed feature metadata: {exc}") from exc
-    trees = {pair: _node_from_dict(doc, pair_label(pair)) for pair, doc in _by_pair(raw, "trees")}
+    trees = {
+        pair: _node_from_dict(doc, _cut(pair_label(pair))) for pair, doc in _by_pair(raw, "trees")
+    }
     priors = {
-        pair: float(json_number(p, ModelError, f"prior of {pair_label(pair)}"))
+        pair: float(json_number(p, ModelError, f"prior of {_cut(pair_label(pair))}"))
         for pair, p in _by_pair(raw, "priors")
     }
     floor = float(json_number(raw.get("prior_floor", 0.0), ModelError, "prior floor"))

@@ -31,7 +31,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
-from .errors import ModelError, PropositionError, json_bool, json_number, read_json
+from .errors import ModelError, PropositionError, _cut, json_bool, json_number, read_json
 from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
 from .inference import goal_sums, posterior, scoped_priors
 from .tree import GoalModel, PairKey, TreeNode, goal_type_named, pair_label
@@ -354,25 +354,26 @@ def proposition_from_dict(
     name = str(raw.get("name", "")).strip()
     if not name:
         raise PropositionError("proposition needs a name")
+    label = _cut(name)
     scope_raw = raw.get("scope")
     if not isinstance(scope_raw, list) or not scope_raw:
-        raise PropositionError(f"{name}: scope must be a non-empty list of pairs")
-    scope = tuple(_parse_pair(p, f"{name}: scope") for p in scope_raw)
+        raise PropositionError(f"{label}: scope must be a non-empty list of pairs")
+    scope = tuple(_parse_pair(p, f"{label}: scope") for p in scope_raw)
     if len(set(scope)) != len(scope):
-        raise PropositionError(f"{name}: scope contains duplicate pairs")
+        raise PropositionError(f"{label}: scope contains duplicate pairs")
     goals = {gid for gid, _ in scope}
 
     antecedent = raw.get("antecedent", [])
     if not isinstance(antecedent, list):
-        raise PropositionError(f"{name}: antecedent must be a list of atoms")
+        raise PropositionError(f"{label}: antecedent must be a list of atoms")
     atoms: List[Atom] = []
     for i, doc in enumerate(antecedent):
-        where = f"{name}: antecedent[{i}]"
+        where = f"{label}: antecedent[{i}]"
         if not isinstance(doc, dict):
             raise PropositionError(f"{where}: must be an object")
         feature = str(doc.get("feature", ""))
         if feature not in FEATURE_NAMES:
-            raise PropositionError(f"{where}: unknown feature '{feature}'")
+            raise PropositionError(f"{where}: unknown feature '{_cut(feature)}'")
         op = str(doc.get("op", ""))
         value = doc.get("value")
         pair: Optional[PairKey] = None
@@ -394,32 +395,32 @@ def proposition_from_dict(
             value = json_bool(value, PropositionError, f"{where}: value")
         else:
             if op not in _SCALAR_OPS:
-                raise PropositionError(f"{where}: unknown op '{op}'")
+                raise PropositionError(f"{where}: unknown op '{_cut(op)}'")
             value = float(json_number(value, PropositionError, f"{where}: value"))
         atoms.append(Atom(feature, op, value, pair))
 
     cons_raw = raw.get("consequent")
     if not isinstance(cons_raw, dict):
-        raise PropositionError(f"{name}: consequent must be an object")
+        raise PropositionError(f"{label}: consequent must be an object")
     kind = str(cons_raw.get("kind", ""))
     if kind not in CONSEQUENT_KINDS:
-        raise PropositionError(f"{name}: unknown consequent kind '{kind}'")
+        raise PropositionError(f"{label}: unknown consequent kind '{_cut(kind)}'")
     goal = str(cons_raw.get("goal", ""))
     if goal not in goals:
-        raise PropositionError(f"{name}: consequent goal '{goal}' not in scope")
+        raise PropositionError(f"{label}: consequent goal '{_cut(goal)}' not in scope")
     other: Optional[str] = None
     threshold: Optional[float] = None
     if kind == "prob_greater":
         other = str(cons_raw.get("than", ""))
         if other not in goals or other == goal:
             raise PropositionError(
-                f"{name}: prob_greater needs a distinct in-scope goal to compare"
+                f"{label}: prob_greater needs a distinct in-scope goal to compare"
             )
     elif kind == "prob_at_least":
         threshold = cons_raw.get("threshold")
-        threshold = float(json_number(threshold, PropositionError, f"{name}: threshold"))
+        threshold = float(json_number(threshold, PropositionError, f"{label}: threshold"))
         if not (0.0 <= threshold <= 1.0):
-            raise PropositionError(f"{name}: threshold must lie in [0, 1]")
+            raise PropositionError(f"{label}: threshold must lie in [0, 1]")
     return Proposition(
         name=name,
         scope=scope,

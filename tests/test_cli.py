@@ -731,6 +731,14 @@ def _line_break_id_csv(text):
     return "\n".join([header, *rows[:3], "0.5,c,bad,0,0,1,0"]).encode() + b"\n"
 
 
+def _long_agent_csv(text, order):
+    # the first agent's rows, renamed to LONG, in the given order of row positions
+    header, *rows = text.splitlines()
+    agent = rows[0].split(",")[1]
+    rows = [r.replace(f",{agent},", f",{LONG},") for r in rows if f",{agent}," in r]
+    return "\n".join([header, *(rows[i] for i in order)]).encode() + b"\n"
+
+
 # (command, file replaced, new bytes from the file's text, text the error names)
 MALFORMED_INPUTS = {
     "model not UTF-8": (
@@ -818,6 +826,37 @@ MALFORMED_INPUTS = {
     "proposition goal type of 5000 characters": (
         "verify", "prop", lambda t: _edited(t, _set("scope", 0, 1, LONG)),
         "scope: unknown goal type 'xxxxxxxx",
+    ),
+    "model domain name of 5000 characters": (
+        "verify", "model",
+        lambda t: _edited(t, _set("features", "domains", LONG,
+                                  {"lo": 0.0, "hi": None, "hi_open": "false"})),
+        "xxxxxxxx' hi_open must be true or false",
+    ),
+    "model prior of a 5000-character goal id": (
+        "verify", "model", lambda t: _edited(t, _set("priors", LONG, {"straight_on": "0.5"})),
+        "prior of xxxxxxxx",
+    ),
+    "model trees of a 5000-character goal id": (
+        "verify", "model", lambda t: _edited(t, _set("trees", LONG, [])),
+        "trees of xxxxxxxx",
+    ),
+    "model tree of a 5000-character goal id": (
+        "verify", "model",
+        lambda t: _edited(t, _set("trees", LONG, {"straight_on": {"L": "0.5"}})),
+        "tree xxxxxxxx",
+    ),
+    "proposition name of 5000 characters": (
+        "verify", "prop", lambda t: _edited(t, _each(_set("name", LONG), _set("scope", []))),
+        "xxxxxxxx: scope must be a non-empty list of pairs",
+    ),
+    "agent id of 5000 characters with out-of-order times": (
+        "eval", "trajectories", lambda t: _long_agent_csv(t, [1, 0, 2]),
+        "xxxxxxxx' has out-of-order timestamps",
+    ),
+    "agent id of 5000 characters with a frame gap": (
+        "eval", "trajectories", lambda t: _long_agent_csv(t, [0, 2, 3]),
+        "xxxxxxxx' frame gap",
     ),
 }
 

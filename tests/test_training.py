@@ -1,14 +1,17 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grit.assets import desk_asset
 from grit.errors import ModelError
-from grit.features import FeatureVector
+from grit.features import BOOLEAN_FEATURES, FEATURE_NAMES, FeatureVector
 from grit.scenario import GoalType
 from grit.training import (
     TrainConfig,
+    best_split,
     estimate_priors,
     fit_tree,
     grid_search,
@@ -19,6 +22,7 @@ from grit.training import (
 from grit.inference import infer
 from grit.tree import GoalModel, TreeNode, model_to_dict, traverse
 from grit.trajectory import LabeledSample, history_for
+from oracle import best_split_per_column, fit_tree_reference
 
 ST = GoalType.STRAIGHT_ON
 TL = GoalType.TURN_LEFT
@@ -177,6 +181,115 @@ def test_fixture_tree_counts_and_gains_are_consistent(fixture_datasets):
         check(f)
 
     check(tree)
+
+
+# -- whole-node split scoring against the per-column oracle -------------------------
+
+GRID_ALPHAS = (0.1, 1.0, 10.0)
+# few distinct values, so columns tie, repeat values and come out constant
+_VALUES = st.sampled_from([-2.5, -1.0, 0.0, 0.0, 0.5, 1.0, 1.0, 3.0, 7.25])
+
+
+def _class_weights(labels, alpha):
+    n_pos = sum(labels)
+    total = len(labels) + 2.0 * alpha
+    return total / (n_pos + alpha), total / (len(labels) - n_pos + alpha)
+
+
+def _labels(draw, n):
+    """Mixed labels, or one class only (the other absent, as alpha > 0 allows)."""
+    single = draw(st.sampled_from([None, True, False]))
+    if single is None:
+        return draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return [single] * n
+
+
+@st.composite
+def split_cases(draw):
+    n = draw(st.integers(2, 40))
+    kinds = draw(st.lists(st.sampled_from(["value", "boolean", "constant"]), max_size=6))
+    columns = []
+    for kind in kinds:
+        if kind == "boolean":
+            columns.append(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+        elif kind == "constant":
+            columns.append([draw(_VALUES)] * n)
+        else:
+            columns.append(draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    X = np.array(columns, dtype=float).reshape(len(kinds), n).T
+    labels = _labels(draw, n)
+    alpha = draw(st.sampled_from(GRID_ALPHAS))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return X, labels, np.array(sorted(rows)), alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_best_split_equals_per_column_oracle(case):
+    X, labels, idx, alpha = case
+    y = np.array(labels, dtype=bool)
+    w_pos, w_neg = _class_weights(labels, alpha)
+    fast = best_split(np.ascontiguousarray(X.T), y, idx, w_pos, w_neg)
+    assert fast == best_split_per_column(X, y, idx, w_pos, w_neg)
+
+
+def test_best_split_no_columns_constant_columns_and_nan_gains():
+    y = np.array([True, False, True, False])
+    idx = np.arange(4)
+    assert best_split(np.empty((0, 4)), y, idx, 2.0, 2.0) is None
+    constant = np.array([[1.0] * 4, [0.0] * 4])
+    assert best_split(constant, y, idx, 2.0, 2.0) is None
+    # an infinite class weight makes every gain NaN: each column's argmax
+    # lands on a NaN, which is skipped, so nothing splits
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    for w_pos, w_neg in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with np.errstate(all="ignore"):
+            assert best_split(np.ascontiguousarray(X.T), y, idx, w_pos, w_neg) is None
+            assert best_split_per_column(X, y, idx, w_pos, w_neg) is None
+
+
+@st.composite
+def tree_cases(draw):
+    n = draw(st.integers(1, 30))
+    names = draw(st.lists(st.sampled_from(FEATURE_NAMES), unique=True, max_size=5))
+    rows = []
+    for _ in range(n):
+        rows.append({
+            name: draw(st.booleans()) if name in BOOLEAN_FEATURES else draw(_VALUES)
+            for name in names
+        })
+    labels = _labels(draw, n)
+    config = TrainConfig(
+        max_depth=draw(st.integers(0, 5)),
+        alpha=draw(st.sampled_from(GRID_ALPHAS)),
+        min_samples_split=draw(st.integers(2, n + 2)),
+    )
+    return rows, labels, config
+
+
+def _fit_both(rows, labels, config):
+    tree = fit_tree(rows, labels, config)
+    reference = fit_tree_reference(
+        rows, labels, config.max_depth, config.alpha, config.min_samples_split
+    )
+    return tree, reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_cases())
+def test_fit_tree_equals_per_column_reference_grower(case):
+    tree, reference = _fit_both(*case)
+    assert _dump(tree) == _dump(reference)
+    assert tree.class_weights == reference.class_weights
+
+
+def test_fit_tree_equals_reference_grower_on_fixture(fixture_datasets):
+    for pair, samples in sorted(fixture_datasets.items()):
+        rows = [s.features.imputed() for s in samples]
+        labels = [s.label for s in samples]
+        for alpha in GRID_ALPHAS:
+            tree, reference = _fit_both(rows, labels, TrainConfig(alpha=alpha))
+            assert _dump(tree) == _dump(reference), (pair, alpha)
 
 
 # -- pruning -----------------------------------------------------------------------
