@@ -46,10 +46,7 @@ def smt_pair_asset(stem: str) -> Tuple[GoalModel, Proposition]:
     if stem not in SMT_PAIR_ASSETS:
         raise KeyError(f"no bundled SMT pair '{stem}' (have: {', '.join(SMT_PAIR_ASSETS)})")
     model = model_from_dict(json.loads(asset_text("smt", f"{stem}_model.json")))
-    prop = proposition_from_dict(
-        json.loads(asset_text("smt", f"{stem}_prop.json")), model.metadata
-    )
-    return model, prop
+    return model, proposition_from_dict(json.loads(asset_text("smt", f"{stem}_prop.json")))
 
 
 def smt_pair_assets() -> List[Tuple[GoalModel, Proposition]]:

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Set, Tuple
 
-from .errors import GritError, TrajectoryError
+from .errors import GritError, TrajectoryError, _cut
 from .evaluation import (
     benchmark,
     evaluate,
@@ -56,13 +56,13 @@ class _Parser(argparse.ArgumentParser):
 def _grid_token(token: str) -> Tuple[str, Tuple[float, ...]]:
     key, sep, raw = token.partition("=")
     if not sep or not raw:
-        raise argparse.ArgumentTypeError(f"expected key=value, got '{token}'")
+        raise argparse.ArgumentTypeError(f"expected key=value, got '{_cut(token)}'")
     if key not in ("alpha", "ccp"):
-        raise argparse.ArgumentTypeError(f"unknown grid key '{key}' (alpha or ccp)")
+        raise argparse.ArgumentTypeError(f"unknown grid key '{_cut(key)}' (alpha or ccp)")
     try:
         values = tuple(float(v) for v in raw.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number in '{token}'")
+        raise argparse.ArgumentTypeError(f"bad number in '{_cut(token)}'")
     return key, values
 
 
@@ -270,7 +270,7 @@ def cmd_infer(args) -> int:
     model = load_model(args.model)
     episode = load_trajectories(args.trajectories, args.frame_rate)
     if args.vehicle not in episode.trajectories:
-        raise TrajectoryError(f"unknown vehicle '{args.vehicle}'")
+        raise TrajectoryError(f"unknown vehicle '{_cut(args.vehicle)}'")
     cutoff = args.frame
     if cutoff is None:
         cutoff = len(episode.trajectories[args.vehicle]) - 1
@@ -307,7 +307,7 @@ def _counterexample_table(result: VerificationResult) -> str:
 
 def cmd_verify(args) -> int:
     model = load_model(args.model)
-    prop = load_proposition(args.prop, model.metadata)
+    prop = load_proposition(args.prop)
     result = verify(model, prop)
     if args.emit_smt:
         Path(args.emit_smt).write_text(export_smtlib(model, prop))

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GritError, ScenarioError, TrajectoryError
+from .errors import GritError, ScenarioError, TrajectoryError, _cut
 from .geometry import Polyline, wrap_heading
 from .inference import infer, infer_no_dt
 from .scenario import Scenario, scenario_from_dict
@@ -273,7 +273,7 @@ def _goal_path(goal_id: str, rng: np.random.Generator) -> List[Tuple[float, floa
         ]
         pts += [(-2.0, -35.0), (-2.0, -60.0)]
         return pts
-    raise ScenarioError(f"template has no path to goal '{goal_id}'")
+    raise ScenarioError(f"template has no path to goal '{_cut(goal_id)}'")
 
 
 def _speed_profile(path: Polyline, v_max: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -376,7 +376,7 @@ def generate_synthetic(
     known = {g.goal_id for g in scenario.goals}
     for gid in goal_ids:
         if gid not in known:
-            raise GritError(f"goal mix names unknown goal '{gid}'")
+            raise GritError(f"goal mix names unknown goal '{_cut(gid)}'")
     weights = weights / weights.sum()
 
     rng = np.random.default_rng(seed)

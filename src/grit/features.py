@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Container, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ModelError, _cut, json_bool, json_names
 from .geometry import wrap_heading, wrap_signed
 from .scenario import GoalSpec, GoalType, Route, Scenario, assign_goal_type, nearest_lane, path_offsets
 
@@ -41,21 +41,25 @@ MISSING_SPEED = 20.0
 
 @dataclass(frozen=True)
 class FeatureMetadata:
-    """Imputation values and bounded domains carried with trained models."""
+    """The feature schema: imputation values and bounded domains.
+
+    DEFAULT_METADATA is the program's one schema. Its maps are read-only, so
+    what grit.verification caches from it cannot go stale; model files
+    repeat it, and grit.tree.model_from_dict checks the copy."""
 
     per_goal: Tuple[str, ...] = PER_GOAL_FEATURES
     shared: Tuple[str, ...] = SHARED_FEATURES
     boolean: Tuple[str, ...] = BOOLEAN_FEATURES
     imputation: Mapping[str, float] = field(
-        default_factory=lambda: {
+        default_factory=lambda: MappingProxyType({
             "vehicle_in_front_dist": MISSING_DIST,
             "vehicle_in_front_speed": MISSING_SPEED,
             "oncoming_vehicle_dist": MISSING_DIST,
-        }
+        })
     )
     # name -> (lo, hi, hi_open); None means unbounded on that side
     domains: Mapping[str, Tuple[Optional[float], Optional[float], bool]] = field(
-        default_factory=lambda: {
+        default_factory=lambda: MappingProxyType({
             "path_to_goal_length": (0.0, None, False),
             "speed": (0.0, None, False),
             "acceleration": (None, None, False),
@@ -63,7 +67,7 @@ class FeatureMetadata:
             "vehicle_in_front_dist": (0.0, LOOKAHEAD_CAP, False),
             "vehicle_in_front_speed": (0.0, None, False),
             "oncoming_vehicle_dist": (0.0, LOOKAHEAD_CAP, False),
-        }
+        })
     )
 
     def to_dict(self) -> dict:
@@ -77,24 +81,6 @@ class FeatureMetadata:
                 for name, (lo, hi, open_) in self.domains.items()
             },
         }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "FeatureMetadata":
-        """Metadata from its JSON form. Numbers are kept as written;
-        GoalModel.validate checks them."""
-        return FeatureMetadata(
-            **{
-                group: tuple(json_names(raw[group], ModelError, f"feature names in '{group}'"))
-                for group in ("per_goal", "shared", "boolean")
-            },
-            imputation={**raw["imputation"]},
-            domains={
-                name: (
-                    d["lo"], d["hi"], json_bool(d["hi_open"], ModelError, f"'{_cut(name)}' hi_open")
-                )
-                for name, d in raw["domains"].items()
-            },
-        )
 
 
 DEFAULT_METADATA = FeatureMetadata()
@@ -114,15 +100,13 @@ class FeatureVector:
     def to_dict(self) -> Dict[str, Union[float, bool, None]]:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
-    def imputed(
-        self, metadata: FeatureMetadata = DEFAULT_METADATA
-    ) -> Dict[str, Union[float, bool]]:
+    def imputed(self) -> Dict[str, Union[float, bool]]:
         """Feature map with MISSING values replaced by their fixed caps."""
         out: Dict[str, Union[float, bool]] = {}
         for name in FEATURE_NAMES:
             value = getattr(self, name)
             if value is None:
-                value = metadata.imputation[name]
+                value = DEFAULT_METADATA.imputation[name]
             out[name] = value
         return out
 

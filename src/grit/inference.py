@@ -153,7 +153,7 @@ def _infer(
 
     pairs = [pair for pair, _ in scored]
     likelihoods = [
-        model.likelihood(pair, {} if feats is None else feats.imputed(model.metadata))
+        model.likelihood(pair, {} if feats is None else feats.imputed())
         for pair, feats in scored
     ]
     t0 = _lap(timings, "traversal", t0)

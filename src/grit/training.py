@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import ModelError
-from .features import BOOLEAN_FEATURES, DEFAULT_METADATA, FEATURE_NAMES, FeatureMetadata
+from .features import BOOLEAN_FEATURES, FEATURE_NAMES
 from .inference import posterior, scoped_priors
 from .tree import DecisionRule, GoalModel, PairKey, TreeNode, edge_weights, node_likelihood
 from .trajectory import LabeledSample
@@ -322,7 +322,6 @@ def estimate_priors(
 def train_model(
     datasets: Mapping[PairKey, Sequence[LabeledSample]],
     config: TrainConfig = TrainConfig(),
-    metadata: FeatureMetadata = DEFAULT_METADATA,
 ) -> GoalModel:
     """Fit one pruned tree per (goal, goal type) pair and estimate priors."""
     if not datasets:
@@ -332,13 +331,13 @@ def train_model(
         samples = datasets[pair]
         if not samples:
             continue
-        rows = [s.features.imputed(metadata) for s in samples]
+        rows = [s.features.imputed() for s in samples]
         tree = fit_tree(rows, [s.label for s in samples], config)
         trees[pair] = prune(tree, config.ccp_alpha)
     if not trees:
         raise ModelError("no datasets to train on")
     priors, floor = estimate_priors(datasets, config.alpha)
-    model = GoalModel(trees=trees, priors=priors, metadata=metadata, prior_floor=floor)
+    model = GoalModel(trees=trees, priors=priors, prior_floor=floor)
     model.validate()
     return model
 
@@ -387,9 +386,7 @@ def validation_loss(
         if not any(s.label for _, s in group):
             continue
         pairs = [pair for pair, _ in group]
-        likelihoods = [
-            model.likelihood(pair, s.features.imputed(model.metadata)) for pair, s in group
-        ]
+        likelihoods = [model.likelihood(pair, s.features.imputed()) for pair, s in group]
         probs = posterior(likelihoods, scoped_priors(model, pairs))
         p_true = sum(p for (_, s), p in zip(group, probs) if s.label)
         losses.append(-math.log(max(p_true, _LOSS_CLAMP)))
@@ -405,7 +402,6 @@ def grid_search(
     ccp_alphas: Sequence[float] = (0.0, 0.001, 0.01),
     max_depth: int = 7,
     min_samples_split: int = 2,
-    metadata: FeatureMetadata = DEFAULT_METADATA,
 ) -> GridSearchResult:
     """Pick smoothing and pruning strength by validation likelihood.
 
@@ -429,7 +425,7 @@ def grid_search(
                 )
             )
     if len(configs) == 1:
-        model = train_model(train_datasets, configs[0], metadata)
+        model = train_model(train_datasets, configs[0])
         return GridSearchResult(model, configs[0], [GridResult(configs[0], math.nan)])
     if val_datasets is None:
         raise ModelError("grid search over several configs needs validation data")
@@ -439,9 +435,7 @@ def grid_search(
     unpruned: Dict[float, GoalModel] = {}
     for config in configs:
         if config.alpha not in unpruned:
-            unpruned[config.alpha] = train_model(
-                train_datasets, replace(config, ccp_alpha=0.0), metadata
-            )
+            unpruned[config.alpha] = train_model(train_datasets, replace(config, ccp_alpha=0.0))
         base = unpruned[config.alpha]
         model = replace(
             base,

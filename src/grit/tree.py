@@ -13,15 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import GritError, ModelError, _cut, _shown, json_number, read_json
-from .features import (
-    BOOLEAN_FEATURES,
-    DEFAULT_METADATA,
-    FEATURE_NAMES,
-    FeatureMetadata,
-)
+from .features import BOOLEAN_FEATURES, DEFAULT_METADATA, FEATURE_NAMES, FeatureMetadata
 from .scenario import GoalType
 
 MODEL_FORMAT = "grit-model"
@@ -212,12 +207,13 @@ def goal_type_named(name: str, error: type[GritError], where: str = "") -> GoalT
 
 @dataclass
 class GoalModel:
-    """Trees and priors per (goal, goal type) pair plus feature metadata."""
+    """Trees and priors per (goal, goal type) pair; metadata is the
+    program's feature schema, the same for every model."""
 
     trees: Dict[PairKey, TreeNode]
     priors: Dict[PairKey, float]
-    metadata: FeatureMetadata = field(default_factory=lambda: DEFAULT_METADATA)
     prior_floor: float = 0.0
+    metadata: ClassVar[FeatureMetadata] = DEFAULT_METADATA
 
     def pairs(self) -> List[PairKey]:
         return sorted(set(self.trees) | set(self.priors))
@@ -234,7 +230,6 @@ class GoalModel:
     def validate(self) -> None:
         if not self.trees:
             raise ModelError("model has no trees")
-        _validate_metadata(self.metadata)
         if self.prior_floor < 0 or not math.isfinite(self.prior_floor):
             raise ModelError("prior floor is invalid")
         total = 0.0
@@ -259,23 +254,6 @@ class GoalModel:
             }
             for pair, tree in sorted(self.trees.items())
         }
-
-
-def _validate_metadata(metadata: FeatureMetadata) -> None:
-    for group in ("per_goal", "shared", "boolean", "domains", "imputation"):
-        for name in getattr(metadata, group):
-            if name not in FEATURE_NAMES:
-                raise ModelError(f"feature metadata '{group}' names unknown feature {_shown(name)}")
-            if group == "shared" and name in metadata.per_goal:
-                raise ModelError(f"feature {_shown(name)} is listed in both 'per_goal' and 'shared'")
-    for name in DEFAULT_METADATA.imputation:
-        json_number(metadata.imputation.get(name), ModelError, f"imputation value of '{name}'")
-    for name, (lo, hi, hi_open) in metadata.domains.items():
-        for bound in (lo, hi):
-            if bound is not None:
-                json_number(bound, ModelError, f"domain bound of '{name}'")
-        if lo is not None and hi is not None and (lo > hi or (lo == hi and hi_open)):
-            raise ModelError(f"domain of '{name}' is empty")
 
 
 def _validate_node(node: TreeNode, tree_label: str, where: str) -> None:
@@ -370,6 +348,19 @@ def _by_pair(raw: dict, group: str) -> Iterator[Tuple[PairKey, object]]:
             yield (gid, goal_type_named(type_name, ModelError)), value
 
 
+def _canonical(doc: object) -> Optional[str]:
+    """doc as canonical JSON, which tells true from 1 and 1 from 1.0;
+    None when doc has no JSON form."""
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):
+        return None
+
+
+# A model file's features block repeats the schema; a load accepts no other.
+_SCHEMA_JSON = _canonical(DEFAULT_METADATA.to_dict())
+
+
 def model_to_dict(model: GoalModel) -> dict:
     trees: Dict[str, Dict[str, dict]] = {}
     for (gid, gtype), tree in sorted(model.trees.items()):
@@ -397,10 +388,8 @@ def model_from_dict(raw: dict) -> GoalModel:
 def _model_from_dict(raw: dict) -> GoalModel:
     if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
         raise ModelError("not a model file")
-    try:
-        metadata = FeatureMetadata.from_dict(raw["features"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"malformed feature metadata: {exc}") from exc
+    if _canonical(raw.get("features")) != _SCHEMA_JSON:
+        raise ModelError("model features block is not the program's feature schema")
     trees = {
         pair: _node_from_dict(doc, _cut(pair_label(pair))) for pair, doc in _by_pair(raw, "trees")
     }
@@ -409,7 +398,7 @@ def _model_from_dict(raw: dict) -> GoalModel:
         for pair, p in _by_pair(raw, "priors")
     }
     floor = float(json_number(raw.get("prior_floor", 0.0), ModelError, "prior floor"))
-    model = GoalModel(trees=trees, priors=priors, metadata=metadata, prior_floor=floor)
+    model = GoalModel(trees=trees, priors=priors, prior_floor=floor)
     model.validate()
     return model
 

@@ -8,12 +8,11 @@ a failing box yields a concrete witness assignment. The same semantics can
 be exported as an SMT-LIB problem whose unsatisfiability certifies the
 property with exact rational arithmetic.
 
-Trees are immutable, so what is derived from one is built once per tree
-object and kept while the tree lives (weak keys): its leaf boxes, each with
-the restrictions its path narrows, and its SMT-LIB fragment. Entries are
-keyed by the (goal, goal type) pair and a snapshot of the metadata parts
-they read (per-goal and boolean features, domains), so a changed metadata
-gets fresh artifacts. ``_rat`` keeps a bounded memo of rendered constants.
+Trees are immutable, and so is the feature schema they are read under,
+so what is derived from a tree is built once per tree object and
+(goal, goal type) pair and kept while the tree lives (weak keys): its leaf
+boxes, each with the restrictions its path narrows, and its SMT-LIB
+fragment. ``_rat`` keeps a bounded memo of rendered constants.
 The search merges only the narrowed restrictions into its environment.
 That is exact: the environment starts at the full feature domains and only
 shrinks, and intersecting a domain with the full domain it was cut from
@@ -219,56 +218,38 @@ def enumerate_paths(
 # whose domain differs from the full feature domain.
 _Narrowed = Tuple[Tuple[str, Domain], ...]
 _Artifact = TypeVar("_Artifact")
-# What is built from each tree: tree -> {(builder, pair, metadata key): artifact}
+# What is built from each tree: tree -> {(builder, pair): artifact}
 _COMPILED: "weakref.WeakKeyDictionary[TreeNode, dict]" = weakref.WeakKeyDictionary()
 
 
-def _metadata_key(metadata: FeatureMetadata) -> tuple:
-    """Hashable snapshot of the metadata parts the tree artifacts read.
-
-    Snapshots compare with ==, so bounds 0.0 and -0.0 (or 1 and 1.0) share
-    an entry. That is exact: cached boxes read these bounds only through
-    comparisons, and a witness takes each metadata bound from the search
-    environment, never from a cached box."""
-    return (
-        tuple(metadata.per_goal),
-        tuple(metadata.boolean),
-        tuple((name, lo, hi, hi_open) for name, (lo, hi, hi_open) in metadata.domains.items()),
-    )
-
-
 def _compiled(
-    build: Callable[[Optional[TreeNode], PairKey, FeatureMetadata], _Artifact],
+    build: Callable[[Optional[TreeNode], PairKey], _Artifact],
     tree: Optional[TreeNode],
     pair: PairKey,
-    metadata: FeatureMetadata,
-    metadata_key: tuple,
 ) -> _Artifact:
-    """build(tree, pair, metadata), built once per tree object and key;
-    a missing tree (None) is built on every call."""
+    """build(tree, pair), built once per tree object and pair; a missing
+    tree (None) is built on every call."""
     if tree is None:
-        return build(None, pair, metadata)
+        return build(None, pair)
     per_tree = _COMPILED.get(tree)
     if per_tree is None:
         per_tree = _COMPILED[tree] = {}
-    key = (build, pair, metadata_key)
+    key = (build, pair)
     found = per_tree.get(key)
     if found is None:
         try:
-            found = per_tree[key] = build(tree, pair, metadata)
+            found = per_tree[key] = build(tree, pair)
         except RecursionError as exc:
             raise ModelError(f"tree {pair_label(pair)} is nested too deeply") from exc
     return found
 
 
-def _narrowed_boxes(
-    tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata
-) -> List[Tuple[PathBox, _Narrowed]]:
+def _narrowed_boxes(tree: Optional[TreeNode], pair: PairKey) -> List[Tuple[PathBox, _Narrowed]]:
     """enumerate_paths' boxes, each with the restrictions its path narrows."""
-    full = _full_domains((pair,), metadata)
+    full = _full_domains((pair,), DEFAULT_METADATA)
     return [
         (box, tuple((k, d) for k, d in box.constraints.items() if d != full[k]))
-        for box in enumerate_paths(tree, pair, metadata)
+        for box in enumerate_paths(tree, pair, DEFAULT_METADATA)
     ]
 
 
@@ -560,15 +541,7 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
         if not _domain_feasible(env[key]):
             return VerificationResult(prop, verified=True, boxes_checked=0)
 
-    metadata_key = _metadata_key(metadata)
-    boxes = [
-        _compiled(_narrowed_boxes, model.trees.get(pair), pair, metadata, metadata_key)
-        for pair in scope
-    ]
-    # Boxes merge only the keys they narrow, so an empty feature domain that
-    # no box touches must stop the search here, as merging it would have.
-    if not all(_domain_feasible(d) for d in env.values()):
-        return VerificationResult(prop, verified=True, boxes_checked=0)
+    boxes = [_compiled(_narrowed_boxes, model.trees.get(pair), pair) for pair in scope]
     checked = 0
     found: Optional[Tuple[List[PathBox], Dict[str, Domain], str, List[float]]] = None
 
@@ -662,7 +635,7 @@ def _smt_apply(op: str, terms: Sequence[str]) -> str:
     return terms[0] if len(terms) == 1 else f"({op} {' '.join(terms)})"
 
 
-def _smt_tree(tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata) -> str:
+def _smt_tree(tree: Optional[TreeNode], pair: PairKey) -> str:
     """The tree's node Booleans and leaf likelihoods as SMT-LIB lines."""
     label = pair_label(pair)
     pair_sym = _smt_sym(label)
@@ -680,7 +653,7 @@ def _smt_tree(tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata
             t = declare(node.true_child)
             f_idx = declare(node.false_child)
             rule = node.rule
-            key = _smt_sym(var_key(pair, rule.feature, metadata))
+            key = _smt_sym(var_key(pair, rule.feature, DEFAULT_METADATA))
             if rule.kind == "boolean":
                 cond = key
             else:
@@ -739,9 +712,8 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
     for pair_sym in pair_syms:
         lines.append(f"(declare-const L.{pair_sym} Real)")
 
-    metadata_key = _metadata_key(metadata)
     for pair in scope:
-        lines.append(_compiled(_smt_tree, model.trees.get(pair), pair, metadata, metadata_key))
+        lines.append(_compiled(_smt_tree, model.trees.get(pair), pair))
 
     lines.append("; antecedent")
     for atom in prop.antecedent:

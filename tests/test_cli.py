@@ -7,6 +7,7 @@ import pytest
 from grit import cli
 from grit.cli import _holdout, _split_datasets, main
 from grit.evaluation import build_template, generate_synthetic, template_names
+from grit.features import FEATURE_NAMES
 from grit.inference import infer
 from grit.scenario import GoalType, load_scenario, save_scenario
 from grit.trajectory import (
@@ -642,7 +643,7 @@ def test_verify_list_feature_name_exit_2(verify_assets, tmp_path, capsys):
     code = main(["verify", "--model", str(broken), "--prop", str(verify_assets["verified"])])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "per_goal" in err
+    assert err.startswith("error:") and NOT_THE_SCHEMA in err
     assert "Traceback" not in err
 
 
@@ -721,6 +722,7 @@ def _each(*edits):
 
 
 LONG = "x" * 5000  # an identifier far longer than an error line
+NOT_THE_SCHEMA = "model features block is not the program's feature schema"
 
 
 def _line_break_id_csv(text):
@@ -739,7 +741,8 @@ def _long_agent_csv(text, order):
     return "\n".join([header, *(rows[i] for i in order)]).encode() + b"\n"
 
 
-# (command, file replaced, new bytes from the file's text, text the error names)
+# (command, file or option replaced, its new bytes from the file's text or its
+# new value, text the error names[, exit code when it is not 2])
 MALFORMED_INPUTS = {
     "model not UTF-8": (
         "verify", "model", lambda t: _not_utf8(t, "G_a", "G_é"), "model file is not valid JSON"
@@ -767,11 +770,11 @@ MALFORMED_INPUTS = {
     "domain flag as a string": (
         "verify", "model",
         lambda t: _edited(t, _set("features", "domains", "vehicle_in_front_dist", "hi_open", "false")),
-        "'vehicle_in_front_dist' hi_open must be true or false",
+        NOT_THE_SCHEMA,
     ),
     "feature names as a string": (
         "verify", "model", lambda t: _edited(t, _set("features", "boolean", "in_correct_lane")),
-        "feature names in 'boolean' must be a list of strings",
+        NOT_THE_SCHEMA,
     ),
     "prior floor as a string": (
         "verify", "model", lambda t: _edited(t, _set("prior_floor", "0.0")),
@@ -794,7 +797,7 @@ MALFORMED_INPUTS = {
     ),
     "unknown per-goal feature name": (
         "verify", "model", lambda t: _edited(t, _append("features", "per_goal", "nonsense")),
-        "feature metadata 'per_goal' names unknown feature 'nonsense'",
+        NOT_THE_SCHEMA,
     ),
     "unknown feature in domains and imputation": (
         "verify", "model",
@@ -802,11 +805,28 @@ MALFORMED_INPUTS = {
             _set("features", "domains", "speeed", {"lo": 0.0, "hi": None, "hi_open": False}),
             _set("features", "imputation", "speeed", "fast"),
         )),
-        "feature metadata 'domains' names unknown feature 'speeed'",
+        NOT_THE_SCHEMA,
     ),
     "feature both per-goal and shared": (
         "verify", "model", lambda t: _edited(t, _append("features", "per_goal", "speed")),
-        "feature 'speed' is listed in both 'per_goal' and 'shared'",
+        NOT_THE_SCHEMA,
+    ),
+    # well-formed feature blocks that differ from the schema: each of these
+    # once loaded, and verify reasoned over features that infer never computes
+    "every feature shared": (
+        "verify", "model",
+        lambda t: _edited(t, _each(_set("features", "per_goal", []),
+                                   _set("features", "shared", list(FEATURE_NAMES)))),
+        NOT_THE_SCHEMA,
+    ),
+    "speed domain floor of 6": (
+        "verify", "model", lambda t: _edited(t, _set("features", "domains", "speed", "lo", 6.0)),
+        NOT_THE_SCHEMA,
+    ),
+    "imputation outside its domain": (
+        "verify", "model",
+        lambda t: _edited(t, _set("features", "imputation", "vehicle_in_front_dist", 150.0)),
+        NOT_THE_SCHEMA,
     ),
     "goal id of 5000 characters": (
         "infer", "scenario",
@@ -831,7 +851,7 @@ MALFORMED_INPUTS = {
         "verify", "model",
         lambda t: _edited(t, _set("features", "domains", LONG,
                                   {"lo": 0.0, "hi": None, "hi_open": "false"})),
-        "xxxxxxxx' hi_open must be true or false",
+        NOT_THE_SCHEMA,
     ),
     "model prior of a 5000-character goal id": (
         "verify", "model", lambda t: _edited(t, _set("priors", LONG, {"straight_on": "0.5"})),
@@ -858,32 +878,51 @@ MALFORMED_INPUTS = {
         "eval", "trajectories", lambda t: _long_agent_csv(t, [0, 2, 3]),
         "xxxxxxxx' frame gap",
     ),
+    "vehicle id of 5000 characters": (
+        "infer", "vehicle", lambda _: LONG, "unknown vehicle 'xxxxxxxx",
+    ),
+    # --grid values are usage errors, which exit with 1
+    "grid token of 5000 characters": (
+        "train", "grid", lambda _: LONG, "expected key=value, got 'xxxxxxxx", 1,
+    ),
+    "grid key of 5000 characters": (
+        "train", "grid", lambda _: f"{LONG}=1", "unknown grid key 'xxxxxxxx", 1,
+    ),
+    "grid number of 5000 characters": (
+        "train", "grid", lambda _: f"alpha={LONG}", "bad number in 'alpha=xxxxxxxx", 1,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_ends_as_one_error_line(pipeline, verify_assets, tmp_path, capsys, case):
-    command, replaced, make, message = MALFORMED_INPUTS[case]
+    command, replaced, make, message, *exit_code = MALFORMED_INPUTS[case]
     if command == "verify":
         files = {"model": verify_assets["model"], "prop": verify_assets["verified"]}
+    elif command == "train":
+        files = {"scenario": pipeline["scenario"], "trajectories": pipeline["episodes"][1]}
     else:
         files = {"scenario": pipeline["scenario"], "model": pipeline["model"],
                  "trajectories": pipeline["episodes"][1]}
-    broken = tmp_path / f"broken{files[replaced].suffix}"
-    broken.write_bytes(make(files[replaced].read_bytes().decode()))
-    files[replaced] = broken
-    argv = [command] + [arg for key, path in files.items() for arg in (f"--{key}", str(path))]
+    options = {key: str(path) for key, path in files.items()}
     if command == "infer":
-        argv += ["--vehicle", pipeline["episodes"][1].read_text().splitlines()[1].split(",")[1]]
-    elif command == "eval":
-        argv += ["--out", str(tmp_path / "r")]
+        options["vehicle"] = pipeline["episodes"][1].read_text().splitlines()[1].split(",")[1]
+    elif command in ("eval", "train"):
+        options["out"] = str(tmp_path / "r")
+    if replaced in files:
+        broken = tmp_path / f"broken{files[replaced].suffix}"
+        broken.write_bytes(make(files[replaced].read_bytes().decode()))
+        options[replaced] = str(broken)
+    else:
+        options[replaced] = make(options.get(replaced))
+    argv = [command] + [arg for key, value in options.items() for arg in (f"--{key}", value)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
     err = capsys.readouterr().err
     assert [str(w.message) for w in caught] == []
-    assert code == 2
-    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == (exit_code[0] if exit_code else 2)
+    lines = [line for line in err.splitlines() if line.startswith(("error:", f"grit {command}: error:"))]
     assert len(lines) == 1 and len(lines[0]) <= 200, lines
     assert message in lines[0]
     assert "Traceback" not in err and "Warning" not in err

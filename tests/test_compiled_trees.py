@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from grit import verification
 from grit.assets import desk_assets, proposition_assets, smt_pair_assets
 from grit.errors import ModelError
-from grit.features import DEFAULT_METADATA, FEATURE_NAMES, FeatureMetadata
+from grit.features import FEATURE_NAMES
 from grit.inference import goal_sums, posterior, scoped_priors
 from grit.scenario import GoalType
 from grit.training import TrainConfig, fit_tree
@@ -290,11 +290,10 @@ def stump(feature, threshold, l_true, l_false):
     )
 
 
-def two_pair_model(metadata=DEFAULT_METADATA):
+def two_pair_model():
     return GoalModel(
         trees={A: stump("speed", 5.0, 0.9, 0.1), B: stump("angle_in_lane", 0.0, 0.7, 0.3)},
         priors={A: 0.5, B: 0.5},
-        metadata=metadata,
         prior_floor=0.01,
     )
 
@@ -427,52 +426,6 @@ def test_replaced_tree_gets_fresh_artifacts():
     assert verify(model, prop).counterexample.likelihoods != before.counterexample.likelihoods
 
 
-def test_changed_domain_gets_fresh_boxes():
-    refuted = unguarded("prob_at_least", threshold=1.0)
-    verified = unguarded("prob_at_least", threshold=0.0)
-    narrow = FeatureMetadata(domains={**DEFAULT_METADATA.domains, "speed": (6.0, None, False)})
-    # under narrow, speed < 5 is empty: the speed >= 5 leaf is box 0 of 1
-    model = two_pair_model(narrow)
-    ce = verify(model, refuted).counterexample
-    assert (ce.leaf_indices[A], ce.likelihoods[A]) == (0, 0.1)
-    assert verify(model, verified).boxes_checked == 2
-    # the same tree objects under the default domains have both boxes again
-    wide = dataclasses.replace(model, metadata=DEFAULT_METADATA)
-    assert wide.trees[A] is model.trees[A]
-    ce = verify(wide, refuted).counterexample
-    assert (ce.leaf_indices[A], ce.likelihoods[A]) == (0, 0.9)
-    assert verify(wide, verified).boxes_checked == 4
-    # a domain edited in place is seen on the next call
-    narrow.domains["speed"] = (0.0, None, False)
-    assert verify(model, verified).boxes_checked == 4
-    for m in (model, wide):
-        for prop in (refuted, verified):
-            assert_matches_reference(m, prop)
-
-
-def test_changed_per_goal_features_get_a_fresh_fragment():
-    model = two_pair_model()
-    prop = unguarded()
-    assert "(< speed 5.0)" in export_smtlib(model, prop)
-    per_goal_speed = FeatureMetadata(per_goal=DEFAULT_METADATA.per_goal + ("speed",))
-    moved = dataclasses.replace(model, metadata=per_goal_speed)
-    assert "(< G_a.straight_on.speed 5.0)" in export_smtlib(moved, prop)
-    assert_matches_reference(moved, prop)
-
-
-def test_signed_zero_domain_bounds_reach_the_witness():
-    # 0.0 == -0.0 == 0, so these metadatas share one cache entry per artifact;
-    # the witness must still print the bound of the metadata asked about
-    trees = {A: stump("speed", 0.0, 0.9, 0.1), B: stump("angle_in_lane", 0.0, 0.7, 0.3)}
-    prop = unguarded("prob_at_least", threshold=1.0)
-    for lo in (0.0, -0.0, 0):
-        domains = {**DEFAULT_METADATA.domains, "speed": (lo, None, False)}
-        model = GoalModel(trees, {A: 0.5, B: 0.5}, FeatureMetadata(domains=domains))
-        assert_matches_reference(model, prop)
-        assert repr(verify(model, prop).counterexample.assignment["speed"]) == repr(lo)
-    assert len(verification._COMPILED[trees[A]]) == 2  # boxes and SMT fragment
-
-
 def test_one_tree_under_two_pairs_gets_boxes_per_pair():
     # a per-goal feature names one variable per pair, so the shared tree
     # compiles once for each pair
@@ -481,17 +434,6 @@ def test_one_tree_under_two_pairs_gets_boxes_per_pair():
     for kind, extra in (("argmax_is", {}), ("prob_at_least", {"threshold": 0.6})):
         assert_matches_reference(model, unguarded(kind, **extra))
     assert len(verification._COMPILED[shared]) == 4
-
-
-def test_empty_domain_admits_no_box():
-    # no tree tests acceleration, so no box narrows it; the search must
-    # still see that its domain is empty
-    empty = FeatureMetadata(domains={**DEFAULT_METADATA.domains, "acceleration": (1.0, 1.0, True)})
-    model = two_pair_model(empty)
-    prop = unguarded()
-    result = verify(model, prop)
-    assert result.verified and result.boxes_checked == 0
-    assert_matches_reference(model, prop)
 
 
 def test_tree_too_deep_to_compile_raises_model_error():

@@ -5,7 +5,6 @@ import pytest
 from grit.features import (
     DEFAULT_METADATA,
     FEATURE_NAMES,
-    FeatureMetadata,
     FeatureVector,
     LOOKAHEAD_CAP,
     MISSING_DIST,
@@ -71,11 +70,15 @@ def test_imputed_keeps_present_values():
     assert filled["vehicle_in_front_speed"] == 3.0
 
 
-def test_metadata_round_trip():
-    back = FeatureMetadata.from_dict(DEFAULT_METADATA.to_dict())
-    assert back == DEFAULT_METADATA
-    lo, hi, hi_open = back.domains["angle_in_lane"]
-    assert (lo, hi, hi_open) == (-math.pi, math.pi, True)
+def test_schema_is_read_only():
+    # what verification caches from the schema is keyed without a snapshot
+    # of it, so an edit in place must fail rather than serve stale boxes
+    with pytest.raises(TypeError):
+        DEFAULT_METADATA.domains["speed"] = (6.0, None, False)
+    with pytest.raises(TypeError):
+        DEFAULT_METADATA.imputation["vehicle_in_front_dist"] = 150.0
+    assert DEFAULT_METADATA.domains["speed"] == (0.0, None, False)
+    assert DEFAULT_METADATA.domains["angle_in_lane"] == (-math.pi, math.pi, True)
 
 
 # -- lane membership ---------------------------------------------------------------

@@ -267,6 +267,9 @@ def test_fixture_model_round_trip(fixture_model, tmp_path):
     assert model_to_dict(back) == model_to_dict(fixture_model)
 
 
+NOT_THE_SCHEMA = "^model features block is not the program's feature schema$"
+
+
 def test_model_from_dict_rejects_malformed_documents():
     good = model_to_dict(small_model())
 
@@ -324,7 +327,7 @@ def test_model_from_dict_rejects_malformed_documents():
 
     list_domains = json.loads(json.dumps(good))
     list_domains["features"]["domains"] = []
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=NOT_THE_SCHEMA):
         model_from_dict(list_domains)
 
     nan_weight = json.loads(json.dumps(good))
@@ -334,33 +337,47 @@ def test_model_from_dict_rejects_malformed_documents():
 
     no_imputation = json.loads(json.dumps(good))
     del no_imputation["features"]["imputation"]["oncoming_vehicle_dist"]
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match=NOT_THE_SCHEMA):
         model_from_dict(no_imputation)
 
     for value in (float("nan"), float("inf"), "far", None, True):
         bad_imputation = json.loads(json.dumps(good))
         bad_imputation["features"]["imputation"]["vehicle_in_front_dist"] = value
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=NOT_THE_SCHEMA):
             model_from_dict(bad_imputation)
 
     for side in ("lo", "hi"):
         for value in ("zero", float("nan"), float("inf"), [0.0], False):
             bad_bound = json.loads(json.dumps(good))
             bad_bound["features"]["domains"]["speed"][side] = value
-            with pytest.raises(ModelError):
+            with pytest.raises(ModelError, match=NOT_THE_SCHEMA):
                 model_from_dict(bad_bound)
 
     for lo, hi, hi_open in ((10.0, 5.0, False), (2.0, 2.0, True)):
         empty = json.loads(json.dumps(good))
         empty["features"]["domains"]["speed"] = {"lo": lo, "hi": hi, "hi_open": hi_open}
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match=NOT_THE_SCHEMA):
             model_from_dict(empty)
 
-    # a point domain and an unbounded side stay valid
+    # the features block must repeat the schema: a valid domain that differs,
+    # 1 for 1.0, 1 for a flag, true for a number or reordered names all fail
     point = json.loads(json.dumps(good))
     point["features"]["domains"]["speed"] = {"lo": 2.0, "hi": 2.0, "hi_open": False}
-    point["features"]["domains"]["acceleration"] = {"lo": None, "hi": 3, "hi_open": True}
-    assert model_from_dict(point).metadata.domains["speed"] == (2.0, 2.0, False)
+    one_int = json.loads(json.dumps(good))
+    one_int["features"]["imputation"]["vehicle_in_front_speed"] = 20
+    int_flag = json.loads(json.dumps(good))
+    int_flag["features"]["domains"]["angle_in_lane"]["hi_open"] = 1
+    flag_bound = json.loads(json.dumps(good))
+    flag_bound["features"]["domains"]["speed"]["lo"] = True
+    reordered = json.loads(json.dumps(good))
+    reordered["features"]["per_goal"].reverse()
+    for doc in (point, one_int, int_flag, flag_bound, reordered):
+        with pytest.raises(ModelError, match=NOT_THE_SCHEMA):
+            model_from_dict(doc)
+    # key order is not part of the schema
+    shuffled = json.loads(json.dumps(good))
+    shuffled["features"] = dict(reversed(list(shuffled["features"].items())))
+    assert model_to_dict(model_from_dict(shuffled)) == good
 
 
 def deep_chain_text(depth):
