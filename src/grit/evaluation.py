@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GritError, ScenarioError, TrajectoryError, _cut
 from .geometry import Polyline, wrap_heading
 from .inference import infer, infer_no_dt
-from .scenario import Scenario, scenario_from_dict
+from .scenario import GoalSpec, Scenario, scenario_from_dict
 from .trajectory import (
     FRACTION_GRID,
     AgentState,
@@ -62,147 +62,60 @@ def _arc(
     ]
 
 
-def t_junction_dict() -> dict:
+def _lane(
+    lane_id: str,
+    centerline: List[List[float]],
+    successors: List[str],
+    in_junction: bool,
+    left: Optional[Tuple[str, bool]] = None,
+    right: Optional[Tuple[str, bool]] = None,
+) -> dict:
+    """One lane entry; left and right are (lane id, same direction) or None."""
+    return {
+        "id": lane_id,
+        "centerline": centerline,
+        "successors": successors,
+        "left": left and {"id": left[0], "same_direction": left[1]},
+        "right": right and {"id": right[0], "same_direction": right[1]},
+        "in_junction": in_junction,
+    }
+
+
+def _junction_dict(prefix: str, south: bool) -> dict:
     """Two westbound-origin lanes feeding a left turn and a straight exit,
-    plus an eastbound-origin lane crossing the turn path."""
-    north = _arc(-10.0, 10.0, 12.0, -math.pi / 2, 0.0, 13) + [[2.0, 35.0], [2.0, 60.0]]
-    return {
-        "lanes": [
-            {
-                "id": "w_left",
-                "centerline": [[-100.0, -2.0], [-10.0, -2.0]],
-                "successors": ["j_north"],
-                "left": {"id": "j_west", "same_direction": False},
-                "right": {"id": "w_straight", "same_direction": True},
-                "in_junction": False,
-            },
-            {
-                "id": "w_straight",
-                "centerline": [[-100.0, -6.0], [-10.0, -6.0]],
-                "successors": ["j_east"],
-                "left": {"id": "w_left", "same_direction": True},
-                "right": None,
-                "in_junction": False,
-            },
-            {
-                "id": "j_north",
-                "centerline": north,
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-            {
-                "id": "j_east",
-                "centerline": [[-10.0, -6.0], [100.0, -6.0]],
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-            {
-                "id": "e_in",
-                "centerline": [[100.0, 2.0], [10.0, 2.0]],
-                "successors": ["j_west"],
-                "left": None,
-                "right": None,
-                "in_junction": False,
-            },
-            {
-                "id": "j_west",
-                "centerline": [[10.0, 2.0], [-100.0, 2.0]],
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-        ],
-        "goals": [
-            {"id": "G_north", "x": 2.0, "y": 60.0},
-            {"id": "G_east", "x": 100.0, "y": -6.0},
-            {"id": "G_west", "x": -100.0, "y": 2.0},
-        ],
-        "conflicts": [["j_north", "j_west"]],
-    }
-
-
-def crossroad_dict() -> dict:
-    """Four-exit variant: the straight lane also feeds a right turn south."""
-    north = _arc(-10.0, 10.0, 12.0, -math.pi / 2, 0.0, 13) + [[2.0, 35.0], [2.0, 60.0]]
-    south = _arc(-10.0, -14.0, 8.0, math.pi / 2, 0.0, 9) + [[-2.0, -35.0], [-2.0, -60.0]]
-    return {
-        "lanes": [
-            {
-                "id": "w_left",
-                "centerline": [[-100.0, -2.0], [-10.0, -2.0]],
-                "successors": ["x_north"],
-                "left": {"id": "x_west", "same_direction": False},
-                "right": {"id": "w_straight", "same_direction": True},
-                "in_junction": False,
-            },
-            {
-                "id": "w_straight",
-                "centerline": [[-100.0, -6.0], [-10.0, -6.0]],
-                "successors": ["x_east", "x_south"],
-                "left": {"id": "w_left", "same_direction": True},
-                "right": None,
-                "in_junction": False,
-            },
-            {
-                "id": "x_north",
-                "centerline": north,
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-            {
-                "id": "x_east",
-                "centerline": [[-10.0, -6.0], [100.0, -6.0]],
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-            {
-                "id": "x_south",
-                "centerline": south,
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-            {
-                "id": "e_in",
-                "centerline": [[100.0, 2.0], [10.0, 2.0]],
-                "successors": ["x_west"],
-                "left": None,
-                "right": None,
-                "in_junction": False,
-            },
-            {
-                "id": "x_west",
-                "centerline": [[10.0, 2.0], [-100.0, 2.0]],
-                "successors": [],
-                "left": None,
-                "right": None,
-                "in_junction": True,
-            },
-        ],
-        "goals": [
-            {"id": "G_north", "x": 2.0, "y": 60.0},
-            {"id": "G_east", "x": 100.0, "y": -6.0},
-            {"id": "G_south", "x": -2.0, "y": -60.0},
-            {"id": "G_west", "x": -100.0, "y": 2.0},
-        ],
-        "conflicts": [["x_north", "x_west"]],
-    }
+    plus an eastbound-origin lane crossing the turn path. With south, the
+    straight lane also feeds a right turn south. Junction lane ids start
+    with prefix."""
+    north, east, west, south_id = (
+        f"{prefix}_{side}" for side in ("north", "east", "west", "south")
+    )
+    lanes = [
+        _lane("w_left", [[-100.0, -2.0], [-10.0, -2.0]], [north], False,
+              left=(west, False), right=("w_straight", True)),
+        _lane("w_straight", [[-100.0, -6.0], [-10.0, -6.0]],
+              [east, south_id] if south else [east], False, left=("w_left", True)),
+        _lane(north, _arc(-10.0, 10.0, 12.0, -math.pi / 2, 0.0, 13)
+              + [[2.0, 35.0], [2.0, 60.0]], [], True),
+        _lane(east, [[-10.0, -6.0], [100.0, -6.0]], [], True),
+    ]
+    goals = [
+        {"id": "G_north", "x": 2.0, "y": 60.0},
+        {"id": "G_east", "x": 100.0, "y": -6.0},
+    ]
+    if south:
+        lanes.append(_lane(south_id, _arc(-10.0, -14.0, 8.0, math.pi / 2, 0.0, 9)
+                           + [[-2.0, -35.0], [-2.0, -60.0]], [], True))
+        goals.append({"id": "G_south", "x": -2.0, "y": -60.0})
+    lanes.append(_lane("e_in", [[100.0, 2.0], [10.0, 2.0]], [west], False))
+    lanes.append(_lane(west, [[10.0, 2.0], [-100.0, 2.0]], [], True))
+    goals.append({"id": "G_west", "x": -100.0, "y": 2.0})
+    return {"lanes": lanes, "goals": goals, "conflicts": [[north, west]]}
 
 
 # name -> (lane-graph builder, default goal mix)
 _TEMPLATES: Dict[str, Tuple[Callable[[], dict], Dict[str, float]]] = {
-    "t_junction": (t_junction_dict, T_JUNCTION_MIX),
-    "crossroad": (crossroad_dict, CROSSROAD_MIX),
+    "t_junction": (lambda: _junction_dict("j", south=False), T_JUNCTION_MIX),
+    "crossroad": (lambda: _junction_dict("x", south=True), CROSSROAD_MIX),
 }
 
 
@@ -252,28 +165,34 @@ def _blend_waypoints(
     return pts
 
 
-def _goal_path(goal_id: str, rng: np.random.Generator) -> List[Tuple[float, float]]:
-    """Waypoints to one goal; both templates share these lanes."""
-    if goal_id == "G_east":
-        return [(-100.0, -6.0), (-10.0, -6.0), (100.0, -6.0)]
-    if goal_id == "G_west":
-        return [(100.0, 2.0), (10.0, 2.0), (-100.0, 2.0)]
-    if goal_id == "G_north":
+def _goal_path(
+    scenario: Scenario, goal: GoalSpec, rng: np.random.Generator
+) -> List[Tuple[float, float]]:
+    """Waypoints to one goal along the scenario's lanes.
+
+    The goal's anchor lane and its chain of unique predecessors, entered
+    from the first lane's right-hand same-direction neighbour, when it has
+    one, with one lane change.
+    """
+    predecessors: Dict[str, List[str]] = {}
+    for lane in scenario.lanes.values():
+        for successor in lane.successors:
+            predecessors.setdefault(successor, []).append(lane.lane_id)
+    chain = [scenario.goal_anchor(goal)[0]]
+    while len(predecessors.get(chain[0], [])) == 1:
+        chain.insert(0, predecessors[chain[0]][0])
+    entry = scenario.lanes[chain[0]]
+    if entry.right is not None and entry.right.same_direction:
+        x0, y0 = scenario.lanes[entry.right.lane_id].centerline[0]
         d_change = float(rng.uniform(20.0, 48.0))
-        pts = _blend_waypoints(-100.0, -6.0, -2.0, -100.0 + d_change, -10.0)
-        pts += [
-            (p[0], p[1]) for p in _arc(-10.0, 10.0, 12.0, -math.pi / 2, 0.0, 13)[1:]
-        ]
-        pts += [(2.0, 35.0), (2.0, 60.0)]
-        return pts
-    if goal_id == "G_south":
-        pts = [(-100.0, -6.0), (-10.0, -6.0)]
-        pts += [
-            (p[0], p[1]) for p in _arc(-10.0, -14.0, 8.0, math.pi / 2, 0.0, 9)[1:]
-        ]
-        pts += [(-2.0, -35.0), (-2.0, -60.0)]
-        return pts
-    raise ScenarioError(f"template has no path to goal '{_cut(goal_id)}'")
+        pts = _blend_waypoints(
+            x0, y0, entry.centerline[0][1], x0 + d_change, entry.centerline[-1][0]
+        )
+    else:
+        pts = list(entry.centerline)
+    for lane_id in chain[1:]:
+        pts += scenario.lanes[lane_id].centerline[1:]
+    return pts
 
 
 def _speed_profile(path: Polyline, v_max: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -373,9 +292,9 @@ def generate_synthetic(
     weights = np.array([mix[g] for g in goal_ids], dtype=float)
     if np.any(weights < 0) or weights.sum() <= 0:
         raise GritError("goal mix weights must be non-negative and sum > 0")
-    known = {g.goal_id for g in scenario.goals}
+    goals = {g.goal_id: g for g in scenario.goals}
     for gid in goal_ids:
-        if gid not in known:
+        if gid not in goals:
             raise GritError(f"goal mix names unknown goal '{_cut(gid)}'")
     weights = weights / weights.sum()
 
@@ -391,7 +310,7 @@ def generate_synthetic(
         for _ in range(batch):
             goal_id = goal_ids[int(rng.choice(len(goal_ids), p=weights))]
             v_max = float(rng.uniform(8.0, 12.0))
-            waypoints = _goal_path(goal_id, rng)
+            waypoints = _goal_path(scenario, goals[goal_id], rng)
             gap = int(rng.integers(15, 45))
             path = Polyline(waypoints)
             states = _roll_out(path, v_max, spawn, frame_rate, rng)

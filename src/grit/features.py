@@ -43,22 +43,25 @@ MISSING_SPEED = 20.0
 class FeatureMetadata:
     """The feature schema: imputation values and bounded domains.
 
-    DEFAULT_METADATA is the program's one schema. Its maps are read-only, so
+    DEFAULT_METADATA is the program's one schema. The fields take no
+    arguments, so every instance equals it, and its maps are read-only, so
     what grit.verification caches from it cannot go stale; model files
     repeat it, and grit.tree.model_from_dict checks the copy."""
 
-    per_goal: Tuple[str, ...] = PER_GOAL_FEATURES
-    shared: Tuple[str, ...] = SHARED_FEATURES
-    boolean: Tuple[str, ...] = BOOLEAN_FEATURES
+    per_goal: Tuple[str, ...] = field(init=False, default=PER_GOAL_FEATURES)
+    shared: Tuple[str, ...] = field(init=False, default=SHARED_FEATURES)
+    boolean: Tuple[str, ...] = field(init=False, default=BOOLEAN_FEATURES)
     imputation: Mapping[str, float] = field(
+        init=False,
         default_factory=lambda: MappingProxyType({
             "vehicle_in_front_dist": MISSING_DIST,
             "vehicle_in_front_speed": MISSING_SPEED,
             "oncoming_vehicle_dist": MISSING_DIST,
-        })
+        }),
     )
     # name -> (lo, hi, hi_open); None means unbounded on that side
     domains: Mapping[str, Tuple[Optional[float], Optional[float], bool]] = field(
+        init=False,
         default_factory=lambda: MappingProxyType({
             "path_to_goal_length": (0.0, None, False),
             "speed": (0.0, None, False),
@@ -67,7 +70,7 @@ class FeatureMetadata:
             "vehicle_in_front_dist": (0.0, LOOKAHEAD_CAP, False),
             "vehicle_in_front_speed": (0.0, None, False),
             "oncoming_vehicle_dist": (0.0, LOOKAHEAD_CAP, False),
-        })
+        }),
     )
 
     def to_dict(self) -> dict:

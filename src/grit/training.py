@@ -35,10 +35,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_depth < 0:
             raise ModelError("max_depth must be non-negative")
-        if self.alpha < 0:
-            raise ModelError("alpha must be non-negative")
-        if self.ccp_alpha < 0:
-            raise ModelError("ccp_alpha must be non-negative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ModelError("alpha must be finite and non-negative")
+        if not 0.0 <= self.ccp_alpha < math.inf:
+            raise ModelError("ccp_alpha must be finite and non-negative")
         if self.min_samples_split < 2:
             raise ModelError("min_samples_split must be at least 2")
 
@@ -160,6 +160,9 @@ def fit_tree(
             "training needs both classes present, or a positive alpha"
         )
     total_mass = y.size + 2.0 * alpha
+    # node_likelihood multiplies smoothed counts, each below total_mass
+    if not math.isfinite(total_mass * total_mass):
+        raise ModelError(f"alpha {alpha:g} overflows the class weights")
     w_pos = total_mass / (n_pos + alpha)
     w_neg = total_mass / (n_neg + alpha)
 
@@ -299,8 +302,8 @@ def estimate_priors(
     before normalizing. Returns the prior table and the floor an unseen pair
     would receive (alpha over the same total).
     """
-    if alpha < 0:
-        raise ModelError("alpha must be non-negative")
+    if not 0.0 <= alpha < math.inf:
+        raise ModelError("alpha must be finite and non-negative")
     if not datasets:
         raise ModelError("no datasets to estimate priors from")
     counts: Dict[PairKey, int] = {}
@@ -310,6 +313,8 @@ def estimate_priors(
         }
         counts[pair] = len(vehicles)
     total = sum(counts.values()) + alpha * len(counts)
+    if not math.isfinite(total):
+        raise ModelError(f"alpha {alpha:g} overflows the prior total")
     if total <= 0:
         raise ModelError("no positive samples to estimate priors from")
     priors = {pair: (c + alpha) / total for pair, c in counts.items()}
@@ -400,8 +405,6 @@ def grid_search(
     val_datasets: Optional[Mapping[PairKey, Sequence[LabeledSample]]] = None,
     alphas: Sequence[float] = (0.1, 1.0, 10.0),
     ccp_alphas: Sequence[float] = (0.0, 0.001, 0.01),
-    max_depth: int = 7,
-    min_samples_split: int = 2,
 ) -> GridSearchResult:
     """Pick smoothing and pruning strength by validation likelihood.
 
@@ -416,14 +419,7 @@ def grid_search(
     configs: List[TrainConfig] = []
     for alpha in sorted(alphas, reverse=True):
         for ccp in sorted(ccp_alphas, reverse=True):
-            configs.append(
-                TrainConfig(
-                    max_depth=max_depth,
-                    alpha=alpha,
-                    ccp_alpha=ccp,
-                    min_samples_split=min_samples_split,
-                )
-            )
+            configs.append(TrainConfig(alpha=alpha, ccp_alpha=ccp))
     if len(configs) == 1:
         model = train_model(train_datasets, configs[0])
         return GridSearchResult(model, configs[0], [GridResult(configs[0], math.nan)])

@@ -891,6 +891,23 @@ MALFORMED_INPUTS = {
     "grid number of 5000 characters": (
         "train", "grid", lambda _: f"alpha={LONG}", "bad number in 'alpha=xxxxxxxx", 1,
     ),
+    # non-finite strengths once pruned every tree to a leaf or failed later
+    # on an unrelated check, and an overflowing alpha warned from numpy
+    "alpha of nan": (
+        "train", "grid", lambda _: "alpha=nan", "alpha must be finite and non-negative",
+    ),
+    "alpha of infinity": (
+        "train", "grid", lambda _: "alpha=inf", "alpha must be finite and non-negative",
+    ),
+    "ccp of nan": (
+        "train", "grid", lambda _: "ccp=nan", "ccp_alpha must be finite and non-negative",
+    ),
+    "ccp of infinity": (
+        "train", "grid", lambda _: "ccp=inf", "ccp_alpha must be finite and non-negative",
+    ),
+    "alpha that overflows the class weights": (
+        "train", "grid", lambda _: "alpha=1e308", "alpha 1e+308 overflows the class weights",
+    ),
 }
 
 

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from grit import evaluation
 from grit.errors import GritError, ScenarioError, TrajectoryError
 from grit.evaluation import (
     VEHICLES_PER_EPISODE,
@@ -114,6 +115,21 @@ def test_generate_synthetic_goal_mix(fixture_world):
     for goal_id, share in (("G_east", 0.45), ("G_north", 0.30), ("G_west", 0.25)):
         sigma = math.sqrt(share * (1.0 - share) * total)
         assert abs(counts[goal_id] - share * total) <= 3.0 * sigma, counts
+
+
+def test_generate_synthetic_follows_an_edited_lane(monkeypatch):
+    # vehicles drive the template's lanes, so lengthening one carries them on
+    layout, mix = evaluation._TEMPLATES["t_junction"]
+    doc = layout()
+    (east,) = [lane for lane in doc["lanes"] if lane["id"] == "j_east"]
+    east["centerline"][-1][0] = 120.0
+    (goal,) = [g for g in doc["goals"] if g["id"] == "G_east"]
+    goal["x"] = 120.0
+    monkeypatch.setitem(evaluation._TEMPLATES, "t_junction", (lambda: doc, mix))
+    scenario, episodes = generate_synthetic("t_junction", 5, seed=0)
+    hits = [first_goal_entry(t, scenario) for t in episodes[0].trajectories.values()]
+    assert None not in hits
+    assert "G_east" in {g.goal_id for g, _ in hits}
 
 
 def test_generate_synthetic_custom_mix_and_small_counts():

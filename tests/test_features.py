@@ -5,6 +5,7 @@ import pytest
 from grit.features import (
     DEFAULT_METADATA,
     FEATURE_NAMES,
+    FeatureMetadata,
     FeatureVector,
     LOOKAHEAD_CAP,
     MISSING_DIST,
@@ -79,6 +80,17 @@ def test_schema_is_read_only():
         DEFAULT_METADATA.imputation["vehicle_in_front_dist"] = 150.0
     assert DEFAULT_METADATA.domains["speed"] == (0.0, None, False)
     assert DEFAULT_METADATA.domains["angle_in_lane"] == (-math.pi, math.pi, True)
+
+
+@pytest.mark.parametrize(
+    "name", ["per_goal", "shared", "boolean", "imputation", "domains"]
+)
+def test_schema_takes_no_arguments(name):
+    # a second schema could parse a proposition that verify then reads
+    # under the first one
+    assert FeatureMetadata() == DEFAULT_METADATA
+    with pytest.raises(TypeError):
+        FeatureMetadata(**{name: getattr(DEFAULT_METADATA, name)})
 
 
 # -- lane membership ---------------------------------------------------------------
