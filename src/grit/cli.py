@@ -25,7 +25,7 @@ from .features import FEATURE_NAMES
 from .inference import GoalPosterior, infer
 from .scenario import load_scenario, save_scenario
 from .trajectory import build_datasets, history_for, load_trajectories, save_trajectories
-from .training import TrainConfig, grid_search, train_model
+from .training import DEFAULT_GRID, grid_configs, grid_search, train_model
 from .tree import load_model, pair_label, save_model
 from .verification import (
     VerificationResult,
@@ -38,9 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_REFUTED = 3
-
-DEFAULT_ALPHAS = (0.1, 1.0, 10.0)
-DEFAULT_CCPS = (0.0, 0.001, 0.01)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,14 +195,16 @@ def _split_datasets(datasets, held, first):
 
 
 def cmd_train(args) -> int:
+    configs = grid_configs(
+        next((v for k, v in args.grid if k == "alpha"), DEFAULT_GRID[0]),
+        next((v for k, v in args.grid if k == "ccp"), DEFAULT_GRID[1]),
+    )
     scenario = load_scenario(args.scenario)
     episodes = [load_trajectories(p, args.frame_rate) for p in args.trajectories]
-    alphas = next((v for k, v in args.grid if k == "alpha"), DEFAULT_ALPHAS)
-    ccps = next((v for k, v in args.grid if k == "ccp"), DEFAULT_CCPS)
 
     grid_rows: List[dict] = []
-    if len(alphas) == 1 and len(ccps) == 1:
-        config = TrainConfig(alpha=alphas[0], ccp_alpha=ccps[0])
+    if len(configs) == 1:
+        config = configs[0]
         datasets = build_datasets(episodes, scenario)
         if not datasets:
             raise GritError("no vehicle reaches a goal; nothing to train on")
@@ -215,7 +214,7 @@ def cmd_train(args) -> int:
         train_ds, val_ds = _split_datasets(datasets, held, first)
         if not train_ds or not val_ds:
             raise GritError("no vehicle reaches a goal; nothing to train on")
-        search = grid_search(train_ds, val_ds, alphas=alphas, ccp_alphas=ccps)
+        search = grid_search(train_ds, val_ds, configs)
         config = search.best_config
         grid_rows = [
             {"alpha": r.config.alpha, "ccp_alpha": r.config.ccp_alpha, "loss": r.loss}

@@ -392,8 +392,7 @@ def _nearest_lane_uncached(
 class _SourceEntry:
     cost: float
     changes: int
-    chain: Tuple[str, ...]  # lanes changed through, starting after the start lane
-    entry_s: float  # carried arclength on the final chain lane
+    entry_s: float  # arclength carried onto this lane by the lane changes
 
 
 def _adjacency_closure(
@@ -401,7 +400,7 @@ def _adjacency_closure(
 ) -> Dict[str, _SourceEntry]:
     """Lanes reachable from a mid-lane position by lane changes alone."""
     out: Dict[str, _SourceEntry] = {
-        start_lane: _SourceEntry(0.0, 0, (), start_s)
+        start_lane: _SourceEntry(0.0, 0, start_s)
     }
     frontier = [start_lane]
     while frontier:
@@ -412,10 +411,7 @@ def _adjacency_closure(
                 continue
             carried = min(entry.entry_s, scenario.lane_poly(nxt).length)
             out[nxt] = _SourceEntry(
-                entry.cost + LANE_CHANGE_PENALTY,
-                entry.changes + 1,
-                entry.chain + (nxt,),
-                carried,
+                entry.cost + LANE_CHANGE_PENALTY, entry.changes + 1, carried
             )
             frontier.append(nxt)
     return out

@@ -4,13 +4,18 @@ Splits maximize class-weighted information gain, where the weights rescale
 the two classes to equal total mass so trees are insensitive to the heavy
 negative skew of one-vs-rest datasets. The same weights drive the pruning
 risk so growing and pruning agree on what a node costs.
+
+Model trees carry only what a model file holds. The class weights and
+each node's sample counts live in TREE_COUNTS, a table this module owns,
+keyed by the root of every tree fit_tree grows or prune returns.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +28,22 @@ from .trajectory import LabeledSample
 _GAIN_TOL = 1e-12
 _PRUNE_TOL = 1e-12
 _LOSS_CLAMP = 1e-12
+
+# (alphas, ccp_alphas) that `grit train` searches unless told otherwise
+DEFAULT_GRID = ((0.1, 1.0, 10.0), (0.0, 0.001, 0.01))
+
+
+class TreeCounts(NamedTuple):
+    """Training bookkeeping of one tree: the (positive, negative) class
+    weights and every node's (positive, negative) sample counts in preorder,
+    true branch first."""
+
+    class_weights: Tuple[float, float]
+    counts: Tuple[Tuple[int, int], ...]
+
+
+# holds no nodes, so an entry dies with its root
+TREE_COUNTS: "weakref.WeakKeyDictionary[TreeNode, TreeCounts]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -146,7 +167,7 @@ def fit_tree(
     best_split scores all feature columns of a node together, under that
     same tie rule. Growth stops at max_depth, below min_samples_split, or
     when no split has positive gain. With alpha = 0 the data must contain
-    both classes.
+    both classes. The tree's counts go to TREE_COUNTS.
     """
     columns, names = _rows_to_columns(rows)
     y = np.asarray(labels, dtype=bool)
@@ -165,16 +186,18 @@ def fit_tree(
         raise ModelError(f"alpha {alpha:g} overflows the class weights")
     w_pos = total_mass / (n_pos + alpha)
     w_neg = total_mass / (n_neg + alpha)
+    counts: List[Tuple[int, int]] = []
 
     def grow(idx: np.ndarray, depth: int, parent_l: float) -> TreeNode:
         pos_here = int(y[idx].sum())
         neg_here = idx.size - pos_here
+        counts.append((pos_here, neg_here))
         likelihood = node_likelihood(pos_here, neg_here, n_pos, n_neg, alpha, parent_l)
         found = None
         if depth < config.max_depth and idx.size >= config.min_samples_split:
             found = best_split(columns, y, idx, w_pos, w_neg)
         if found is None:
-            return TreeNode(likelihood, n_pos=pos_here, n_neg=neg_here)
+            return TreeNode(likelihood)
         j, thr, _ = found
         name = names[j]
         if name in BOOLEAN_FEATURES:
@@ -188,13 +211,11 @@ def fit_tree(
         true_weight, false_weight = edge_weights(
             likelihood, true_child.likelihood, false_child.likelihood
         )
-        return TreeNode(
-            likelihood, rule, true_child, false_child, true_weight, false_weight,
-            n_pos=pos_here, n_neg=neg_here,
-        )
+        return TreeNode(likelihood, rule, true_child, false_child, true_weight, false_weight)
 
     root = grow(np.arange(y.size), 0, 0.5)
-    return replace(root, class_weights=(w_pos, w_neg))
+    TREE_COUNTS[root] = TreeCounts((w_pos, w_neg), tuple(counts))
+    return root
 
 
 def _vec_entropy(p: np.ndarray) -> np.ndarray:
@@ -215,78 +236,74 @@ def prune(root: TreeNode, ccp_alpha: float) -> TreeNode:
     ccp_alpha, weakest link first. Returns the pruned tree; the input is
     untouched, and is itself returned when ccp_alpha is 0 or it is a leaf.
 
-    Requires the training bookkeeping (per-node counts, root class weights)
-    that fit_tree leaves behind, so prune at training time, not on loaded
-    models.
+    Reads the tree's entry in TREE_COUNTS and gives the pruned tree one, so
+    it prunes trees fit_tree grew or prune returned, not loaded, copied or
+    unpickled ones. Each round scans the nodes once in preorder; the lowest
+    effective alpha wins, ties going to the earliest node.
     """
-    if ccp_alpha < 0:
-        raise ModelError("ccp_alpha must be non-negative")
+    if not 0.0 <= ccp_alpha < math.inf:
+        raise ModelError("ccp_alpha must be finite and non-negative")
     if ccp_alpha == 0.0 or root.is_leaf:
         return root
-    if root.class_weights is None:
+    entry = TREE_COUNTS.get(root)
+    if entry is None:
         raise ModelError("tree lacks training counts; prune freshly fit trees")
-    w_pos, w_neg = root.class_weights
-    root_mass = w_pos * root.n_pos + w_neg * root.n_neg
+    (w_pos, w_neg), counts = entry
+    root_mass = w_pos * counts[0][0] + w_neg * counts[0][1]
     if root_mass <= 0:
         raise ModelError("tree has no mass")
-    # internal nodes collapsed so far; the search sees them as leaves
-    collapsed: Set[TreeNode] = set()
+    nodes: List[TreeNode] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += (node.false_child, node.true_child)
+    # end[i]: one past node i's subtree, so node i's false child is end[i + 1]
+    end = [0] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        end[i] = i + 1 if nodes[i].is_leaf else end[end[i + 1]]
+    # the same weighted raw-count entropy the growing criterion used
+    risk = []
+    for pos, neg in counts:
+        mass = w_pos * pos + w_neg * neg
+        risk.append(0.0 if mass <= 0 else (mass / root_mass) * _entropy_bits(w_pos * pos / mass))
+    # a leaf now: a leaf of the input, or an internal node collapsed so far
+    cut = [node.is_leaf for node in nodes]
 
-    def is_leaf(node: TreeNode) -> bool:
-        return node.is_leaf or node in collapsed
+    def current(i: int, stop: int) -> Iterator[int]:
+        """The nodes in [i, stop) that are still in the tree, in preorder."""
+        while i < stop:
+            yield i
+            i = end[i] if cut[i] else i + 1
 
-    def risk(node: TreeNode) -> float:
-        """Same weighted raw-count entropy the growing criterion used."""
-        mass = w_pos * node.n_pos + w_neg * node.n_neg
-        if mass <= 0:
-            return 0.0
-        return (mass / root_mass) * _entropy_bits(w_pos * node.n_pos / mass)
-
-    def weakest(node: TreeNode, counter: List[int]) -> Optional[Tuple[float, int, TreeNode]]:
-        """Min (effective alpha, preorder index) internal node of the subtree."""
-        index = counter[0]
-        counter[0] += 1
-        if is_leaf(node):
-            return None
-        leaf_risk = 0.0
-        leaves = 0
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if is_leaf(cur):
-                leaf_risk += risk(cur)
-                leaves += 1
-            else:
-                stack.append(cur.false_child)
-                stack.append(cur.true_child)
-        eff = (risk(node) - leaf_risk) / (leaves - 1)
-        best = (eff, index, node)
-        for child in (node.true_child, node.false_child):
-            cand = weakest(child, counter)
-            if cand is None:
+    while not cut[0]:
+        best_eff, best = math.inf, 0
+        for i in current(0, len(nodes)):
+            if cut[i]:
                 continue
-            if cand[0] < best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best = cand
-        return best
-
-    while not is_leaf(root):
-        found = weakest(root, [0])
-        if found is None or found[0] > ccp_alpha + _PRUNE_TOL:
+            # the subtree's leaf risks, summed left to right
+            leaf_risk, leaves = 0.0, 0
+            for j in current(i, end[i]):
+                if cut[j]:
+                    leaf_risk += risk[j]
+                    leaves += 1
+            eff = (risk[i] - leaf_risk) / (leaves - 1)
+            if eff < best_eff:
+                best_eff, best = eff, i
+        if best_eff > ccp_alpha + _PRUNE_TOL:
             break
-        collapsed.add(found[2])
+        cut[best] = True
 
-    def rebuild(node: TreeNode) -> TreeNode:
-        """A copy of the node, its collapsed descendants made leaves."""
-        if node.is_leaf or node in collapsed:
-            return TreeNode(
-                node.likelihood, n_pos=node.n_pos, n_neg=node.n_neg,
-                class_weights=node.class_weights,
-            )
-        return replace(
-            node, true_child=rebuild(node.true_child), false_child=rebuild(node.false_child)
+    kept = list(current(0, len(nodes)))
+    # copies built children first, collapsed nodes made leaves
+    built: Dict[int, TreeNode] = {}
+    for i in reversed(kept):
+        built[i] = TreeNode(nodes[i].likelihood) if cut[i] else replace(
+            nodes[i], true_child=built[i + 1], false_child=built[end[i + 1]]
         )
-
-    return rebuild(root)
+    TREE_COUNTS[built[0]] = TreeCounts((w_pos, w_neg), tuple(counts[i] for i in kept))
+    return built[0]
 
 
 # -- priors ------------------------------------------------------------------------
@@ -358,7 +375,6 @@ class GridResult:
 
 @dataclass
 class GridSearchResult:
-    best_model: GoalModel
     best_config: TrainConfig
     results: List[GridResult]
 
@@ -400,34 +416,32 @@ def validation_loss(
     return sum(losses) / len(losses)
 
 
+def grid_configs(alphas: Sequence[float], ccp_alphas: Sequence[float]) -> List[TrainConfig]:
+    """Every cell of the grid, from the strongest regularizer down: larger
+    alpha first, and within an alpha larger ccp_alpha first."""
+    if not alphas or not ccp_alphas:
+        raise ModelError("grid must contain at least one value per axis")
+    return [
+        TrainConfig(alpha=alpha, ccp_alpha=ccp)
+        for alpha in sorted(alphas, reverse=True)
+        for ccp in sorted(ccp_alphas, reverse=True)
+    ]
+
+
 def grid_search(
     train_datasets: Mapping[PairKey, Sequence[LabeledSample]],
-    val_datasets: Optional[Mapping[PairKey, Sequence[LabeledSample]]] = None,
-    alphas: Sequence[float] = (0.1, 1.0, 10.0),
-    ccp_alphas: Sequence[float] = (0.0, 0.001, 0.01),
+    val_datasets: Mapping[PairKey, Sequence[LabeledSample]],
+    configs: Sequence[TrainConfig],
 ) -> GridSearchResult:
     """Pick smoothing and pruning strength by validation likelihood.
 
-    Each config is scored by validation_loss: the mean negative log of the
-    posterior infer gives the true goal. train_model fits the trees once
-    per alpha, unpruned, and each ccp_alpha re-prunes them. Equal losses
-    resolve toward the stronger regularizer (larger ccp_alpha, then larger
-    alpha). A single-cell grid skips validation entirely.
+    Each config, a cell of grid_configs in its order, is scored by
+    validation_loss: the mean negative log of the posterior infer gives the
+    true goal. train_model fits the trees once per alpha, unpruned, and
+    each ccp_alpha re-prunes them. Equal losses resolve to the earlier
+    config, the stronger regularizer.
     """
-    if not alphas or not ccp_alphas:
-        raise ModelError("grid must contain at least one value per axis")
-    configs: List[TrainConfig] = []
-    for alpha in sorted(alphas, reverse=True):
-        for ccp in sorted(ccp_alphas, reverse=True):
-            configs.append(TrainConfig(alpha=alpha, ccp_alpha=ccp))
-    if len(configs) == 1:
-        model = train_model(train_datasets, configs[0])
-        return GridSearchResult(model, configs[0], [GridResult(configs[0], math.nan)])
-    if val_datasets is None:
-        raise ModelError("grid search over several configs needs validation data")
-
     results: List[GridResult] = []
-    best: Optional[Tuple[float, TrainConfig, GoalModel]] = None
     unpruned: Dict[float, GoalModel] = {}
     for config in configs:
         if config.alpha not in unpruned:
@@ -437,11 +451,7 @@ def grid_search(
             base,
             trees={pair: prune(tree, config.ccp_alpha) for pair, tree in base.trees.items()},
         )
-        loss = validation_loss(model, val_datasets)
-        results.append(GridResult(config, loss))
-        # configs iterate from the strongest regularizer down, so a strict
-        # comparison keeps the preferred config on ties
-        if best is None or loss < best[0]:
-            best = (loss, config, model)
-    assert best is not None
-    return GridSearchResult(best[2], best[1], results)
+        results.append(GridResult(config, validation_loss(model, val_datasets)))
+    # min keeps the first of equal losses
+    best = min(results, key=lambda r: r.loss)
+    return GridSearchResult(best.config, results)

@@ -79,7 +79,9 @@ class TreeNode:
     """One node of a likelihood tree; a leaf when it has no rule.
 
     Nodes are immutable and compare and hash by identity, so a tree object
-    can key caches of what is derived from it (see grit.verification).
+    can key tables of what is derived from it: grit.verification's compiled
+    artifacts, and grit.training's sample counts per node. A node holds
+    only what a model file holds.
     """
 
     likelihood: float
@@ -88,10 +90,6 @@ class TreeNode:
     false_child: Optional["TreeNode"] = None
     true_weight: Optional[float] = None
     false_weight: Optional[float] = None
-    # training bookkeeping; not serialized
-    n_pos: int = 0
-    n_neg: int = 0
-    class_weights: Optional[Tuple[float, float]] = None
 
     @property
     def is_leaf(self) -> bool:

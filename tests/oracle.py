@@ -7,7 +7,6 @@ element at a time, and imports nothing it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -79,11 +78,12 @@ def best_split_per_column(X, y, idx, w_pos, w_neg):
 
 
 def fit_tree_reference(rows, labels, max_depth, alpha, min_samples_split):
-    """The tree fit_tree grows, split by best_split_per_column.
+    """The tree fit_tree grows, split by best_split_per_column, and beside it
+    the entry fit_tree makes in training.TREE_COUNTS.
 
     Rows are imputed feature maps sharing one key set; columns are the
     sorted keys. Node likelihoods, edge weights and the training
-    bookkeeping follow fit_tree's docstring.
+    bookkeeping follow the docstrings of fit_tree and TreeCounts.
     """
     names = sorted(rows[0])
     X = np.array([[float(row[name]) for name in names] for row in rows], dtype=float)
@@ -93,16 +93,18 @@ def fit_tree_reference(rows, labels, max_depth, alpha, min_samples_split):
     total_mass = y.size + 2.0 * alpha
     w_pos = total_mass / (n_pos + alpha)
     w_neg = total_mass / (n_neg + alpha)
+    counts = []
 
     def grow(idx, depth, parent_l):
         pos_here = int(y[idx].sum())
         neg_here = idx.size - pos_here
+        counts.append((pos_here, neg_here))
         likelihood = node_likelihood(pos_here, neg_here, n_pos, n_neg, alpha, parent_l)
         found = None
         if depth < max_depth and idx.size >= min_samples_split:
             found = best_split_per_column(X, y, idx, w_pos, w_neg)
         if found is None:
-            return TreeNode(likelihood, n_pos=pos_here, n_neg=neg_here)
+            return TreeNode(likelihood)
         j, thr, _ = found
         if names[j] in BOOLEAN_FEATURES:
             rule = DecisionRule(names[j], "boolean")
@@ -115,9 +117,7 @@ def fit_tree_reference(rows, labels, max_depth, alpha, min_samples_split):
         true_weight, false_weight = edge_weights(
             likelihood, true_child.likelihood, false_child.likelihood
         )
-        return TreeNode(
-            likelihood, rule, true_child, false_child, true_weight, false_weight,
-            n_pos=pos_here, n_neg=neg_here,
-        )
+        return TreeNode(likelihood, rule, true_child, false_child, true_weight, false_weight)
 
-    return replace(grow(np.arange(y.size), 0, 0.5), class_weights=(w_pos, w_neg))
+    tree = grow(np.arange(y.size), 0, 0.5)
+    return tree, ((w_pos, w_neg), tuple(counts))

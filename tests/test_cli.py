@@ -218,6 +218,23 @@ def test_train_grid_search_preprocesses_once(pipeline, capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("alpha=nan,1", "alpha must be finite and non-negative"),
+    ("ccp=inf,0", "ccp_alpha must be finite and non-negative"),
+])
+def test_train_checks_the_grid_before_preprocessing(pipeline, tmp_path, capsys, monkeypatch,
+                                                    grid, message):
+    calls = []
+    monkeypatch.setattr(cli, "build_datasets", lambda *args, **kwargs: calls.append(args))
+    code = main(
+        ["train", "--scenario", str(pipeline["scenario"]),
+         "--trajectories", str(pipeline["episodes"][0]), str(pipeline["episodes"][1]),
+         "--grid", grid, "--out", str(tmp_path / "model.json")]
+    )
+    assert code == 2 and calls == []
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("vehicles_per_episode", [6, 30])
 def test_split_datasets_equals_building_each_split(vehicles_per_episode):
     # seed 5: in both branches some validation bucket fills first in a

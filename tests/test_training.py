@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -10,17 +14,19 @@ from grit.errors import ModelError
 from grit.features import BOOLEAN_FEATURES, FEATURE_NAMES, FeatureVector
 from grit.scenario import GoalType
 from grit.training import (
+    TREE_COUNTS,
     TrainConfig,
     best_split,
     estimate_priors,
     fit_tree,
+    grid_configs,
     grid_search,
     prune,
     train_model,
     validation_loss,
 )
 from grit.inference import infer
-from grit.tree import GoalModel, TreeNode, model_to_dict, traverse
+from grit.tree import GoalModel, TreeNode, traverse
 from grit.trajectory import LabeledSample, history_for
 from oracle import best_split_per_column, fit_tree_reference
 
@@ -153,29 +159,45 @@ def _entropy(p):
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def _preorder(node):
+    yield node
+    if not node.is_leaf:
+        yield from _preorder(node.true_child)
+        yield from _preorder(node.false_child)
+
+
+def _counts(tree):
+    """{node: (positive, negative)} from the tree's TREE_COUNTS entry."""
+    counts = TREE_COUNTS[tree].counts
+    assert len(counts) == tree.node_count()
+    return dict(zip(_preorder(tree), counts))
+
+
 def test_fixture_tree_counts_and_gains_are_consistent(fixture_datasets):
     pair = ("G_east", ST)
     samples = fixture_datasets[pair]
     rows = [s.features.imputed() for s in samples]
     labels = [s.label for s in samples]
     tree = fit_tree(rows, labels, TrainConfig(alpha=1.0))
-    w_pos, w_neg = tree.class_weights
-    assert tree.n_pos == sum(labels)
-    assert tree.n_neg == len(labels) - sum(labels)
+    w_pos, w_neg = TREE_COUNTS[tree].class_weights
+    counts = _counts(tree)
+    assert counts[tree][0] == sum(labels)
+    assert counts[tree][1] == len(labels) - sum(labels)
 
     def check(node):
         if node.is_leaf:
             return
         t, f = node.true_child, node.false_child
-        assert node.n_pos == t.n_pos + f.n_pos
-        assert node.n_neg == t.n_neg + f.n_neg
-        mass = w_pos * node.n_pos + w_neg * node.n_neg
-        h = _entropy(w_pos * node.n_pos / mass)
+        (pos, neg), (t_pos, t_neg), (f_pos, f_neg) = counts[node], counts[t], counts[f]
+        assert pos == t_pos + f_pos
+        assert neg == t_neg + f_neg
+        mass = w_pos * pos + w_neg * neg
+        h = _entropy(w_pos * pos / mass)
         child_h = 0.0
-        for c in (t, f):
-            m = w_pos * c.n_pos + w_neg * c.n_neg
+        for c_pos, c_neg in (counts[t], counts[f]):
+            m = w_pos * c_pos + w_neg * c_neg
             if m > 0:
-                child_h += m * _entropy(w_pos * c.n_pos / m)
+                child_h += m * _entropy(w_pos * c_pos / m)
         assert h - child_h / mass > 1e-12
         check(t)
         check(f)
@@ -268,6 +290,7 @@ def tree_cases(draw):
 
 
 def _fit_both(rows, labels, config):
+    """fit_tree's tree and the reference grower's (tree, counts entry)."""
     tree = fit_tree(rows, labels, config)
     reference = fit_tree_reference(
         rows, labels, config.max_depth, config.alpha, config.min_samples_split
@@ -279,8 +302,8 @@ def _fit_both(rows, labels, config):
 @given(tree_cases())
 def test_fit_tree_equals_per_column_reference_grower(case):
     tree, reference = _fit_both(*case)
-    assert _dump(tree) == _dump(reference)
-    assert tree.class_weights == reference.class_weights
+    assert _dump(tree) == _dump(*reference)
+    assert TREE_COUNTS[tree] == reference[1]
 
 
 def test_fit_tree_equals_reference_grower_on_fixture(fixture_datasets):
@@ -289,7 +312,7 @@ def test_fit_tree_equals_reference_grower_on_fixture(fixture_datasets):
         labels = [s.label for s in samples]
         for alpha in GRID_ALPHAS:
             tree, reference = _fit_both(rows, labels, TrainConfig(alpha=alpha))
-            assert _dump(tree) == _dump(reference), (pair, alpha)
+            assert _dump(tree) == _dump(*reference), (pair, alpha)
 
 
 # -- pruning -----------------------------------------------------------------------
@@ -312,32 +335,34 @@ def test_prune_zero_is_identity_and_infinity_collapses(fixture_datasets):
 
 
 class _MutableNode:
-    """A node whose subtree can be cut in place, for the reference pruner."""
+    """A node whose subtree can be cut in place, for the reference pruner;
+    counts yields the (positive, negative) counts in preorder."""
 
-    def __init__(self, node):
+    def __init__(self, node, counts):
         self.node = node
+        self.pos, self.neg = next(counts)
         self.children = None if node.is_leaf else [
-            _MutableNode(node.true_child), _MutableNode(node.false_child)
+            _MutableNode(node.true_child, counts), _MutableNode(node.false_child, counts)
         ]
 
     def dump(self):
         n = self.node
         if self.children is None:
-            return (n.likelihood, n.n_pos, n.n_neg)
-        return (n.likelihood, n.n_pos, n.n_neg, n.rule, n.true_weight, n.false_weight,
+            return (n.likelihood, self.pos, self.neg)
+        return (n.likelihood, self.pos, self.neg, n.rule, n.true_weight, n.false_weight,
                 self.children[0].dump(), self.children[1].dump())
 
 
 def reference_prune(tree, ccp_alpha):
     """Weakest-link pruning that collapses nodes of a mutable copy in place:
     lowest effective alpha first, ties to the earliest node in preorder."""
-    w_pos, w_neg = tree.class_weights
-    root_mass = w_pos * tree.n_pos + w_neg * tree.n_neg
-    root = _MutableNode(tree)
+    w_pos, w_neg = TREE_COUNTS[tree].class_weights
+    root = _MutableNode(tree, iter(TREE_COUNTS[tree].counts))
+    root_mass = w_pos * root.pos + w_neg * root.neg
 
     def risk(m):
-        mass = w_pos * m.node.n_pos + w_neg * m.node.n_neg
-        return 0.0 if mass <= 0 else (mass / root_mass) * _entropy(w_pos * m.node.n_pos / mass)
+        mass = w_pos * m.pos + w_neg * m.neg
+        return 0.0 if mass <= 0 else (mass / root_mass) * _entropy(w_pos * m.pos / mass)
 
     def leaves(m):
         return [m] if m.children is None else leaves(m.children[0]) + leaves(m.children[1])
@@ -363,11 +388,20 @@ def reference_prune(tree, ccp_alpha):
     return root.dump()
 
 
-def _dump(node):
-    if node.is_leaf:
-        return (node.likelihood, node.n_pos, node.n_neg)
-    return (node.likelihood, node.n_pos, node.n_neg, node.rule, node.true_weight,
-            node.false_weight, _dump(node.true_child), _dump(node.false_child))
+def _dump(tree, entry=None):
+    """The tree with each node's counts, from entry or its TREE_COUNTS entry."""
+    counts = iter((entry or TREE_COUNTS[tree])[1])
+
+    def walk(node):
+        pos, neg = next(counts)
+        if node.is_leaf:
+            return (node.likelihood, pos, neg)
+        return (node.likelihood, pos, neg, node.rule, node.true_weight,
+                node.false_weight, walk(node.true_child), walk(node.false_child))
+
+    dumped = walk(tree)
+    assert next(counts, None) is None
+    return dumped
 
 
 def test_prune_equals_in_place_reference(fixture_datasets):
@@ -377,7 +411,16 @@ def test_prune_equals_in_place_reference(fixture_datasets):
         for ccp in (1e-4, 1e-3, 3e-3, 1e-2, 0.05):
             pruned = prune(tree, ccp)
             assert _dump(pruned) == reference_prune(tree, ccp), (pair, ccp)
-            assert pruned.class_weights == tree.class_weights
+            assert TREE_COUNTS[pruned].class_weights == TREE_COUNTS[tree].class_weights
+            # a pruned tree prunes again, as a fitted one does
+            assert _dump(prune(pruned, 3 * ccp)) == reference_prune(pruned, 3 * ccp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_cases(), st.sampled_from([1e-3, 1e-2, 0.05, 0.2]))
+def test_prune_equals_in_place_reference_on_random_trees(case, ccp):
+    tree = fit_tree(*case)
+    assert _dump(prune(tree, ccp)) == reference_prune(tree, ccp)
 
 
 def test_prune_effective_alpha_hand_case():
@@ -386,7 +429,7 @@ def test_prune_effective_alpha_hand_case():
     # effective alpha is exactly (1.0 - 0.0) / (2 - 1) = 1.0
     desk = desk_asset("desk_separable")
     tree = fit_tree(desk["rows"], desk["labels"], TrainConfig(alpha=1.0))
-    assert tree.class_weights == (2.0, 2.0)
+    assert TREE_COUNTS[tree].class_weights == (2.0, 2.0)
     assert not prune(tree, 0.9).is_leaf
     assert prune(tree, 1.0).is_leaf
 
@@ -396,11 +439,38 @@ def test_prune_requires_training_bookkeeping():
     assert prune(loaded, 0.5).is_leaf
     desk = desk_asset("desk_separable")
     tree = fit_tree(desk["rows"], desk["labels"], TrainConfig(alpha=1.0))
-    stripped = dataclasses.replace(tree, class_weights=None)
-    with pytest.raises(ModelError):
-        prune(stripped, 0.5)
+    # counts belong to the fitted root object: a copy of it has none
+    for stripped in (dataclasses.replace(tree), copy.copy(tree), pickle.loads(pickle.dumps(tree))):
+        with pytest.raises(ModelError, match="lacks training counts"):
+            prune(stripped, 0.5)
     with pytest.raises(ModelError):
         prune(tree, -1.0)
+
+
+def test_prune_rejects_non_finite_ccp_alpha():
+    rows = [{"speed": float(i)} for i in range(40)]
+    tree = fit_tree(rows, [i < 20 for i in range(40)], TrainConfig(max_depth=1))
+    assert tree.depth() == 1
+    for ccp in (math.nan, math.inf):
+        with pytest.raises(ModelError, match="ccp_alpha must be finite and non-negative"):
+            prune(tree, ccp)
+
+
+def test_dropped_tree_frees_its_counts():
+    desk = desk_asset("desk_separable")
+    gc.disable()
+    try:
+        before = len(TREE_COUNTS)
+        tree = fit_tree(desk["rows"], desk["labels"], TrainConfig(alpha=1.0))
+        pruned = prune(tree, 0.5)
+        assert len(TREE_COUNTS) == before + 2
+        refs = [weakref.ref(tree), weakref.ref(pruned)]
+        del tree, pruned
+        # freed by reference counting alone: the table holds no node
+        assert [r() for r in refs] == [None, None]
+        assert len(TREE_COUNTS) == before
+    finally:
+        gc.enable()
 
 
 # -- priors ------------------------------------------------------------------------
@@ -507,17 +577,15 @@ def test_train_model_fits_all_pairs(fixture_datasets, fixture_model):
         train_model({})
 
 
-def test_grid_search_single_cell_skips_validation(fixture_datasets):
-    result = grid_search(
-        fixture_datasets, None, alphas=(1.0,), ccp_alphas=(0.001,)
-    )
-    assert result.best_config == TrainConfig(alpha=1.0, ccp_alpha=0.001)
-    assert len(result.results) == 1
-    assert math.isnan(result.results[0].loss)
+def test_grid_configs_order_and_empty_axis():
+    assert [(c.alpha, c.ccp_alpha) for c in grid_configs((1.0, 10.0), (0.0, 0.01))] == [
+        (10.0, 0.01), (10.0, 0.0), (1.0, 0.01), (1.0, 0.0)
+    ]
+    assert grid_configs((1.0,), (0.001,)) == [TrainConfig(alpha=1.0, ccp_alpha=0.001)]
     with pytest.raises(ModelError):
-        grid_search(fixture_datasets, None, alphas=(0.1, 1.0), ccp_alphas=(0.0,))
+        grid_configs((), (0.0,))
     with pytest.raises(ModelError):
-        grid_search(fixture_datasets, None, alphas=(), ccp_alphas=(0.0,))
+        grid_configs((1.0,), ())
 
 
 def test_grid_search_matches_independent_recompute(fixture_datasets, test_episodes,
@@ -527,7 +595,7 @@ def test_grid_search_matches_independent_recompute(fixture_datasets, test_episod
     val = build_datasets(test_episodes[:4], fixture_scenario)
     alphas = (0.1, 1.0)
     ccps = (0.0, 0.001)
-    result = grid_search(fixture_datasets, val, alphas=alphas, ccp_alphas=ccps)
+    result = grid_search(fixture_datasets, val, grid_configs(alphas, ccps))
     assert len(result.results) == 4
 
     expected_order = [
@@ -544,13 +612,10 @@ def test_grid_search_matches_independent_recompute(fixture_datasets, test_episod
     best_loss = min(r.loss for r in result.results)
     first_best = next(r.config for r in result.results if r.loss == best_loss)
     assert result.best_config == first_best
-    assert validation_loss(result.best_model, val) == pytest.approx(
-        best_loss, abs=1e-12
-    )
-    assert model_to_dict(result.best_model) == model_to_dict(
-        train_model(fixture_datasets, result.best_config)
+    assert validation_loss(train_model(fixture_datasets, result.best_config), val) == (
+        pytest.approx(best_loss, abs=1e-12)
     )
 
-    again = grid_search(fixture_datasets, val, alphas=alphas, ccp_alphas=ccps)
+    again = grid_search(fixture_datasets, val, grid_configs(alphas, ccps))
     assert again.best_config == result.best_config
     assert [r.loss for r in again.results] == [r.loss for r in result.results]
