@@ -1,7 +1,7 @@
 """Desk-scale evaluation harness: synthetic scenes, curves, and timing.
 
 The synthetic generator stands in for recorded datasets. Vehicles pick a
-goal from a configurable mix, follow the lane centerlines with a
+goal from their template's fixed mix, follow the lane centerlines with a
 trapezoidal speed profile that slows for curvature, and carry additive
 Gaussian sensor noise; everything is driven by one seeded generator so
 reruns are byte-identical.
@@ -13,8 +13,8 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +112,7 @@ def _junction_dict(prefix: str, south: bool) -> dict:
     return {"lanes": lanes, "goals": goals, "conflicts": [[north, west]]}
 
 
-# name -> (lane-graph builder, default goal mix)
+# name -> (lane-graph builder, goal mix)
 _TEMPLATES: Dict[str, Tuple[Callable[[], dict], Dict[str, float]]] = {
     "t_junction": (lambda: _junction_dict("j", south=False), T_JUNCTION_MIX),
     "crossroad": (lambda: _junction_dict("x", south=True), CROSSROAD_MIX),
@@ -127,7 +127,7 @@ def _template(name: str) -> Tuple[Callable[[], dict], Dict[str, float]]:
     key = name.replace("-", "_")
     if key not in _TEMPLATES:
         raise ScenarioError(
-            f"unknown template '{name}' (have: {', '.join(template_names())})"
+            f"unknown template '{_cut(name)}' (have: {', '.join(template_names())})"
         )
     return _TEMPLATES[key]
 
@@ -269,34 +269,26 @@ def generate_synthetic(
     template: str,
     vehicles: int,
     seed: int,
-    goal_mix: Optional[Mapping[str, float]] = None,
     frame_rate: float = DEFAULT_FRAME_RATE,
     vehicles_per_episode: int = VEHICLES_PER_EPISODE,
 ) -> Tuple[Scenario, List[Episode]]:
     """Deterministic synthetic fixture for a named template.
 
-    Vehicles are split into episodes of vehicles_per_episode, spawn at
-    staggered integer frames, and always run until they enter their goal
-    radius. Same arguments, same bytes.
+    Each vehicle draws its goal from the template's mix. Vehicles are
+    split into episodes of vehicles_per_episode, spawn at staggered integer
+    frames, and always run until they enter their goal radius. Same
+    arguments, same bytes.
     """
     if vehicles < 1:
         raise GritError("vehicle count must be at least 1")
     if vehicles_per_episode < 1:
         raise GritError("vehicles per episode must be at least 1")
-    layout, default_mix = _template(template)
+    layout, mix = _template(template)
     scenario = scenario_from_dict(layout())
-    mix = dict(goal_mix if goal_mix is not None else default_mix)
     goal_ids = sorted(mix)
-    if not goal_ids:
-        raise GritError("goal mix must not be empty")
     weights = np.array([mix[g] for g in goal_ids], dtype=float)
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise GritError("goal mix weights must be non-negative and sum > 0")
-    goals = {g.goal_id: g for g in scenario.goals}
-    for gid in goal_ids:
-        if gid not in goals:
-            raise GritError(f"goal mix names unknown goal '{_cut(gid)}'")
     weights = weights / weights.sum()
+    goals = {g.goal_id: g for g in scenario.goals}
 
     rng = np.random.default_rng(seed)
     episodes: List[Episode] = []
@@ -333,15 +325,13 @@ class CurvePoint:
     entropy: float
     entropy_stderr: float
 
-    def to_dict(self) -> dict:
-        return {
-            "fraction": self.fraction,
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "accuracy_stderr": self.accuracy_stderr,
-            "entropy": self.entropy,
-            "entropy_stderr": self.entropy_stderr,
-        }
+
+# The statistics each curve point reports, in column order.
+_STATS = ("accuracy", "accuracy_stderr", "entropy", "entropy_stderr")
+
+
+def _stat_texts(point: CurvePoint) -> List[str]:
+    return [repr(getattr(point, stat)) for stat in _STATS]
 
 
 @dataclass
@@ -368,62 +358,34 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         doc = {
-            "curve": [p.to_dict() for p in self.curve],
+            "curve": [asdict(p) for p in self.curve],
             "timing_mean_us": self.timing_mean_us,
             "timing_stderr_us": self.timing_stderr_us,
             "n_vehicles": self.n_vehicles,
             "n_inferences": self.n_inferences,
         }
         if self.baseline_curve is not None:
-            doc["baseline_curve"] = [p.to_dict() for p in self.baseline_curve]
+            doc["baseline_curve"] = [asdict(p) for p in self.baseline_curve]
         return doc
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        header = [
-            "fraction",
-            "n",
-            "accuracy",
-            "accuracy_stderr",
-            "entropy",
-            "entropy_stderr",
-        ]
+        header = ["fraction", "n", *_STATS]
         if self.baseline_curve is not None:
-            header += [
-                "baseline_accuracy",
-                "baseline_accuracy_stderr",
-                "baseline_entropy",
-                "baseline_entropy_stderr",
-            ]
+            header += [f"baseline_{stat}" for stat in _STATS]
         writer.writerow(header)
         for i, p in enumerate(self.curve):
-            row = [
-                f"{p.fraction:.1f}",
-                p.n,
-                repr(p.accuracy),
-                repr(p.accuracy_stderr),
-                repr(p.entropy),
-                repr(p.entropy_stderr),
-            ]
+            row = [f"{p.fraction:.1f}", p.n, *_stat_texts(p)]
             if self.baseline_curve is not None:
-                b = self.baseline_curve[i]
-                row += [
-                    repr(b.accuracy),
-                    repr(b.accuracy_stderr),
-                    repr(b.entropy),
-                    repr(b.entropy_stderr),
-                ]
+                row += _stat_texts(self.baseline_curve[i])
             writer.writerow(row)
         return buf.getvalue()
 
     def to_gnuplot(self) -> str:
-        lines = ["# fraction accuracy accuracy_stderr entropy entropy_stderr"]
+        lines = [" ".join(("# fraction", *_STATS))]
         for p in self.curve:
-            lines.append(
-                f"{p.fraction:.1f} {p.accuracy!r} {p.accuracy_stderr!r} "
-                f"{p.entropy!r} {p.entropy_stderr!r}"
-            )
+            lines.append(" ".join((f"{p.fraction:.1f}", *_stat_texts(p))))
         return "\n".join(lines) + "\n"
 
 
@@ -564,12 +526,12 @@ def benchmark(
     model: GoalModel,
     episodes: Sequence[Episode],
     scenario: Scenario,
-    repetitions: Optional[int] = None,
 ) -> BenchmarkReport:
     """Wall-clock per-vehicle inference at each vehicle's final frame.
 
-    One untimed warm-up pass precedes the measurement; repetitions defaults
-    to whatever brings the total to at least 30 calls. Runs single-threaded
+    One untimed warm-up pass precedes the measurement; then as many timed
+    passes over every vehicle as bring the total to at least 30 calls
+    (one pass from 30 vehicles up). Runs single-threaded
     so the numbers are not contention noise. The scenario's nearest-lane memo
     is cleared before each timed pass, so no call is answered by the
     warm-up or an earlier repetition.
@@ -581,19 +543,13 @@ def benchmark(
             histories.append((history_for(episode, vehicle_id, cutoff), vehicle_id))
     if not histories:
         raise TrajectoryError("no vehicles to benchmark")
-    if repetitions is None:
-        repetitions = max(1, math.ceil(30 / len(histories)))
-    if repetitions < 1 or len(histories) * repetitions < 30:
-        raise GritError(
-            "benchmark needs at least 30 timed calls; raise repetitions"
-        )
 
     for history, vehicle_id in histories:
         infer(history, vehicle_id, scenario, model)
 
     samples: List[float] = []
     stages: Dict[str, float] = {}
-    for _ in range(repetitions):
+    for _ in range(math.ceil(30 / len(histories))):
         scenario.clear_nearest_memo()
         for history, vehicle_id in histories:
             t0 = time.perf_counter()

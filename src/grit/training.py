@@ -214,6 +214,7 @@ def fit_tree(
         return TreeNode(likelihood, rule, true_child, false_child, true_weight, false_weight)
 
     root = grow(np.arange(y.size), 0, 0.5)
+    del grow  # a recursive closure is a reference cycle
     TREE_COUNTS[root] = TreeCounts((w_pos, w_neg), tuple(counts))
     return root
 

@@ -27,7 +27,7 @@ _WEIGHT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DecisionRule:
-    """Binary test on one feature.
+    """Binary test on one feature, applied by traverse.
 
     Threshold rules take the true branch when value < threshold (stored in
     the canonical "threshold greater than value" direction); boolean rules
@@ -59,12 +59,6 @@ class DecisionRule:
                 )
         if self.feature not in FEATURE_NAMES:
             raise ModelError(f"rule references unknown feature '{self.feature}'")
-
-    def test(self, x: Mapping[str, Union[float, bool]]) -> bool:
-        value = x[self.feature]
-        if self.is_boolean:
-            return bool(value)
-        return float(value) < self.threshold  # type: ignore[operator]
 
     def render(self, branch: bool) -> str:
         if self.kind == "boolean":

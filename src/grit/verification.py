@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import ModelError, PropositionError, _cut, json_bool, json_number, read_json
-from .features import FEATURE_NAMES, DEFAULT_METADATA, FeatureMetadata
+from .features import BOOLEAN_FEATURES, DEFAULT_METADATA, FEATURE_NAMES, FeatureMetadata
 from .inference import goal_sums, posterior, scoped_priors
 from .tree import GoalModel, PairKey, TreeNode, goal_type_named, pair_label
 
@@ -129,7 +129,7 @@ def _domain_witness(d: Domain) -> Value:
     return True in d
 
 
-def feature_domain(feature: str, metadata: FeatureMetadata) -> Domain:
+def feature_domain(feature: str, metadata: FeatureMetadata = DEFAULT_METADATA) -> Domain:
     if feature in metadata.boolean:
         return FULL_BOOL
     lo, hi, hi_open = metadata.domains.get(feature, (None, None, False))
@@ -141,22 +141,22 @@ def feature_domain(feature: str, metadata: FeatureMetadata) -> Domain:
     )
 
 
-def var_key(pair: PairKey, feature: str, metadata: FeatureMetadata) -> str:
+def var_key(pair: PairKey, feature: str, metadata: FeatureMetadata = DEFAULT_METADATA) -> str:
     """Per-goal features get one variable per pair; the rest are shared."""
     if feature in metadata.per_goal:
         return f"{pair_label(pair)}:{feature}"
     return feature
 
 
-def scope_variables(scope: Sequence[PairKey], metadata: FeatureMetadata) -> Dict[str, str]:
+def scope_variables(scope: Sequence[PairKey]) -> Dict[str, str]:
     """Variable key -> feature for the pairs in scope, in first-seen order:
     each per-goal feature once per pair, each shared feature once."""
-    return {var_key(pair, f, metadata): f for pair in scope for f in FEATURE_NAMES}
+    return {var_key(pair, f): f for pair in scope for f in FEATURE_NAMES}
 
 
-def _full_domains(scope: Sequence[PairKey], metadata: FeatureMetadata) -> Dict[str, Domain]:
+def _full_domains(scope: Sequence[PairKey]) -> Dict[str, Domain]:
     """The full feature domain of every variable of the pairs in scope."""
-    return {key: feature_domain(f, metadata) for key, f in scope_variables(scope, metadata).items()}
+    return {key: feature_domain(f) for key, f in scope_variables(scope).items()}
 
 
 # -- leaf boxes -----------------------------------------------------------------
@@ -171,15 +171,13 @@ class PathBox:
     leaf_index: int
 
 
-def enumerate_paths(
-    tree: Optional[TreeNode], pair: PairKey, metadata: FeatureMetadata
-) -> List[PathBox]:
+def enumerate_paths(tree: Optional[TreeNode], pair: PairKey) -> List[PathBox]:
     """All feasible root-to-leaf boxes, true branch first.
 
     Boxes start from the full feature domains, so together they partition
     the domain product. A missing tree yields the single uninformed box.
     """
-    base = _full_domains((pair,), metadata)
+    base = _full_domains((pair,))
     if tree is None:
         return [PathBox(dict(base), 0.5, 0)]
     boxes: List[PathBox] = []
@@ -188,7 +186,7 @@ def enumerate_paths(
         if node.is_leaf:
             boxes.append(PathBox(dict(cons), node.likelihood, len(boxes)))
             return
-        key = var_key(pair, node.rule.feature, metadata)
+        key = var_key(pair, node.rule.feature)
         if node.rule.kind == "boolean":
             branches = (
                 (frozenset((True,)), node.true_child),
@@ -209,6 +207,7 @@ def enumerate_paths(
             rec(child, child_cons)
 
     rec(tree, base)
+    del rec  # a recursive closure is a reference cycle
     return boxes
 
 
@@ -246,10 +245,10 @@ def _compiled(
 
 def _narrowed_boxes(tree: Optional[TreeNode], pair: PairKey) -> List[Tuple[PathBox, _Narrowed]]:
     """enumerate_paths' boxes, each with the restrictions its path narrows."""
-    full = _full_domains((pair,), DEFAULT_METADATA)
+    full = _full_domains((pair,))
     return [
         (box, tuple((k, d) for k, d in box.constraints.items() if d != full[k]))
-        for box in enumerate_paths(tree, pair, DEFAULT_METADATA)
+        for box in enumerate_paths(tree, pair)
     ]
 
 
@@ -411,10 +410,8 @@ def proposition_from_dict(
     )
 
 
-def load_proposition(
-    path: str | Path, metadata: FeatureMetadata = DEFAULT_METADATA
-) -> Proposition:
-    return proposition_from_dict(read_json(path, PropositionError, "proposition"), metadata)
+def load_proposition(path: str | Path) -> Proposition:
+    return proposition_from_dict(read_json(path, PropositionError, "proposition"))
 
 
 def proposition_to_dict(prop: Proposition) -> dict:
@@ -510,10 +507,10 @@ def _violation(
     return None
 
 
-def _atom_key(atom: Atom, scope: Sequence[PairKey], metadata: FeatureMetadata) -> str:
+def _atom_key(atom: Atom, scope: Sequence[PairKey]) -> str:
     """The variable an antecedent atom constrains: a per-goal feature's at
     the atom's pair, a shared feature anchored at the first pair in scope."""
-    return var_key(atom.pair if atom.pair is not None else scope[0], atom.feature, metadata)
+    return var_key(atom.pair if atom.pair is not None else scope[0], atom.feature)
 
 
 def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
@@ -525,15 +522,14 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
     (scope order, leaf order) as a replayed counterexample, or a
     verification over all boxes.
     """
-    metadata = model.metadata
     scope = list(prop.scope)
     scope_goals = [gid for gid, _ in scope]
     priors = scoped_priors(model, scope)
 
-    env = _full_domains(scope, metadata)
+    env = _full_domains(scope)
     for atom in prop.antecedent:
-        key = _atom_key(atom, scope, metadata)
-        if atom.feature in metadata.boolean:
+        key = _atom_key(atom, scope)
+        if atom.feature in BOOLEAN_FEATURES:
             restriction: Domain = frozenset((bool(atom.value),))
         else:
             restriction = atom.to_interval()
@@ -570,12 +566,14 @@ def verify(model: GoalModel, prop: Proposition) -> VerificationResult:
                 chosen.pop()
         return False
 
-    if recurse(0, env, []):
+    refuted = recurse(0, env, [])
+    del recurse  # a recursive closure is a reference cycle
+    if refuted:
         assert found is not None
         chosen, final_env, reason, probs = found
         assignment = {key: _domain_witness(d) for key, d in sorted(final_env.items())}
         features = {
-            pair: {f: assignment[var_key(pair, f, metadata)] for f in FEATURE_NAMES} for pair in scope
+            pair: {f: assignment[var_key(pair, f)] for f in FEATURE_NAMES} for pair in scope
         }
         likelihoods = {pair: box.likelihood for pair, box in zip(scope, chosen)}
         _replay(model, scope, features, likelihoods, priors, probs)
@@ -653,7 +651,7 @@ def _smt_tree(tree: Optional[TreeNode], pair: PairKey) -> str:
             t = declare(node.true_child)
             f_idx = declare(node.false_child)
             rule = node.rule
-            key = _smt_sym(var_key(pair, rule.feature, DEFAULT_METADATA))
+            key = _smt_sym(var_key(pair, rule.feature))
             if rule.kind == "boolean":
                 cond = key
             else:
@@ -673,6 +671,7 @@ def _smt_tree(tree: Optional[TreeNode], pair: PairKey) -> str:
         return idx
 
     declare(tree)
+    del declare  # a recursive closure is a reference cycle
     lines.append(f"(assert {node_syms[0]})")
     return "\n".join(lines)
 
@@ -686,7 +685,6 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
     unnormalized product form (likelihood times prior) to stay linear;
     probability thresholds compare against the explicit total.
     """
-    metadata = model.metadata
     scope = list(prop.scope)
     priors = scoped_priors(model, scope)
     lines: List[str] = [
@@ -695,13 +693,13 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
         f"; claim: {prop.render()}",
     ]
 
-    for key, f in scope_variables(scope, metadata).items():
+    for key, f in scope_variables(scope).items():
         sym = _smt_sym(key)
-        if f in metadata.boolean:
+        if f in BOOLEAN_FEATURES:
             lines.append(f"(declare-const {sym} Bool)")
             continue
         lines.append(f"(declare-const {sym} Real)")
-        lo, hi, hi_open = metadata.domains.get(f, (None, None, False))
+        lo, hi, hi_open = DEFAULT_METADATA.domains.get(f, (None, None, False))
         if lo is not None:
             lines.append(f"(assert (>= {sym} {_rat(lo)}))")
         if hi is not None:
@@ -717,8 +715,8 @@ def export_smtlib(model: GoalModel, prop: Proposition) -> str:
 
     lines.append("; antecedent")
     for atom in prop.antecedent:
-        sym = _smt_sym(_atom_key(atom, scope, metadata))
-        if atom.feature in metadata.boolean:
+        sym = _smt_sym(_atom_key(atom, scope))
+        if atom.feature in BOOLEAN_FEATURES:
             lines.append(f"(assert {sym})" if atom.value else f"(assert (not {sym}))")
             continue
         op = "=" if atom.op == "=" else atom.op

@@ -558,7 +558,7 @@ def test_verify_json_matches_library_result(verify_assets, capsys):
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
     model = load_model(verify_assets["model"])
-    prop = load_proposition(verify_assets["refuted"], model.metadata)
+    prop = load_proposition(verify_assets["refuted"])
     assert doc == verify(model, prop).to_dict()
     assert doc["verified"] is False
 
@@ -898,6 +898,9 @@ MALFORMED_INPUTS = {
     "vehicle id of 5000 characters": (
         "infer", "vehicle", lambda _: LONG, "unknown vehicle 'xxxxxxxx",
     ),
+    "template name of 5000 characters": (
+        "synth", "template", lambda _: LONG, "unknown template 'xxxxxxxx",
+    ),
     # --grid values are usage errors, which exit with 1
     "grid token of 5000 characters": (
         "train", "grid", lambda _: LONG, "expected key=value, got 'xxxxxxxx", 1,
@@ -935,6 +938,8 @@ def test_malformed_input_ends_as_one_error_line(pipeline, verify_assets, tmp_pat
         files = {"model": verify_assets["model"], "prop": verify_assets["verified"]}
     elif command == "train":
         files = {"scenario": pipeline["scenario"], "trajectories": pipeline["episodes"][1]}
+    elif command == "synth":
+        files = {}
     else:
         files = {"scenario": pipeline["scenario"], "model": pipeline["model"],
                  "trajectories": pipeline["episodes"][1]}
@@ -943,6 +948,8 @@ def test_malformed_input_ends_as_one_error_line(pipeline, verify_assets, tmp_pat
         options["vehicle"] = pipeline["episodes"][1].read_text().splitlines()[1].split(",")[1]
     elif command in ("eval", "train"):
         options["out"] = str(tmp_path / "r")
+    elif command == "synth":
+        options.update({"vehicles": "1", "out-dir": str(tmp_path / "r")})
     if replaced in files:
         broken = tmp_path / f"broken{files[replaced].suffix}"
         broken.write_bytes(make(files[replaced].read_bytes().decode()))

@@ -104,7 +104,7 @@ def reference_verify(model, prop):
             env[key] = _merge(env[key], atom.to_interval())
         if not _feasible(env[key]):
             return result(True, 0)
-    boxes = [enumerate_paths(model.trees.get(pair), pair, md) for pair in scope]
+    boxes = [enumerate_paths(model.trees.get(pair), pair) for pair in scope]
     checked = 0
 
     def search(i, cur, chosen):

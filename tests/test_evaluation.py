@@ -132,13 +132,12 @@ def test_generate_synthetic_follows_an_edited_lane(monkeypatch):
     assert "G_east" in {g.goal_id for g, _ in hits}
 
 
-def test_generate_synthetic_custom_mix_and_small_counts():
-    scenario, episodes = generate_synthetic(
-        "t_junction", 5, seed=3, goal_mix={"G_north": 1.0}
-    )
+def test_generate_synthetic_small_counts():
+    scenario, episodes = generate_synthetic("t_junction", 5, seed=3)
     assert len(episodes) == 1
+    assert len(episodes[0].trajectories) == 5
     for trajectory in episodes[0].trajectories.values():
-        assert ground_truth_goal(trajectory, scenario).goal_id == "G_north"
+        assert first_goal_entry(trajectory, scenario) is not None
 
 
 def test_generate_synthetic_rejects_bad_arguments():
@@ -148,14 +147,6 @@ def test_generate_synthetic_rejects_bad_arguments():
         generate_synthetic("y_junction", 10, seed=1)
     with pytest.raises(GritError):
         generate_synthetic("t_junction", 10, seed=1, vehicles_per_episode=0)
-    with pytest.raises(GritError):
-        generate_synthetic("t_junction", 10, seed=1, goal_mix={})
-    with pytest.raises(GritError):
-        generate_synthetic("t_junction", 10, seed=1, goal_mix={"G_mars": 1.0})
-    with pytest.raises(GritError):
-        generate_synthetic(
-            "t_junction", 10, seed=1, goal_mix={"G_north": -1.0, "G_east": 2.0}
-        )
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -251,7 +242,11 @@ def test_benchmark_reports_stage_breakdown(fixture_model, fixture_world):
 
 def test_benchmark_enforces_minimum_calls(fixture_model, fixture_world):
     scenario, episodes = fixture_world
-    with pytest.raises(GritError):
-        benchmark(fixture_model, episodes[8:9], scenario, repetitions=1)
+    vehicle_id = episodes[8].agent_ids()[0]
+    one = Episode(
+        frame_rate=episodes[8].frame_rate,
+        trajectories={vehicle_id: episodes[8].trajectories[vehicle_id]},
+    )
+    assert benchmark(fixture_model, [one], scenario).n_calls == 30
     with pytest.raises(TrajectoryError):
         benchmark(fixture_model, [], scenario)

@@ -2,17 +2,19 @@
 
 Refactors must keep these bytes: the labelled samples build_datasets makes,
 the model JSON train_model makes from them, the posterior entries infer
-reports, and the verdicts, witnesses and SMT-LIB text of the verifier.
+reports, the text of the evaluation report, and the verdicts, witnesses
+and SMT-LIB text of the verifier.
 Each digest was recorded once and is compared, never re-recorded.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from grit.assets import proposition_assets, smt_pair_assets
-from grit.evaluation import generate_synthetic, template_names
+from grit.evaluation import evaluate, generate_synthetic, template_names
 from grit.inference import infer
 from grit.trajectory import build_datasets, history_for
 from grit.training import train_model
@@ -40,6 +42,14 @@ SMT_PAIR_DIGESTS = (
 SHIPPED_PROPOSITION_DIGESTS = (
     "c3200d7d22313d610c564feb92cbb37675c90b3ad331ff9c7ac581824a0562bb",
     "9cb5a97e8e7c119438d264e953e4465c9c73304b82431a4c0af1ea90bced2037",
+)
+# evaluation report on the fixture's held-out episodes: (CSV with the
+# baseline, CSV without it, gnuplot table, curve entries of to_dict as JSON)
+EVAL_REPORT_DIGESTS = (
+    "9b0fcfa040ece7c171cbe73bd6d72048d2e672c420646076da23a59a1c8ef935",
+    "8ee803f57a14f653828efed76997f241e84684c176b0d930ef9063b215dcf22e",
+    "95b8ac8a39fb0f094953b4a3c8034ac665a52ecea54f83de4573fba9eeeffe89",
+    "3ddc15afe68c8fdcbc96f9dcb116377700c394596bea0d765e4a2458c665e0c8",
 )
 
 
@@ -81,3 +91,15 @@ def test_verifier_outputs_are_pinned(fixture_model):
     assert _verifier_digests(smt_pair_assets()) == SMT_PAIR_DIGESTS
     shipped = [(fixture_model, p) for p in proposition_assets()]
     assert _verifier_digests(shipped) == SHIPPED_PROPOSITION_DIGESTS
+
+
+def test_eval_report_text_is_pinned(fixture_model, fixture_scenario, test_episodes):
+    report = evaluate(fixture_model, test_episodes, fixture_scenario, include_baseline=True)
+    doc = report.to_dict()
+    texts = (
+        report.to_csv(),
+        dataclasses.replace(report, baseline_curve=None).to_csv(),
+        report.to_gnuplot(),
+        json.dumps([doc["curve"], doc["baseline_curve"]]),
+    )
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == EVAL_REPORT_DIGESTS

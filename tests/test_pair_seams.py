@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 import grit.features
 from grit.errors import ModelError, PropositionError
 from grit.evaluation import generate_synthetic, template_names
-from grit.features import FEATURE_NAMES, DEFAULT_METADATA, candidates, extract_all
+from grit.features import FEATURE_NAMES, candidates, extract_all
 from grit.inference import GoalEstimate, infer, infer_no_dt, posterior, scoped_priors
 from grit.scenario import GoalType, assign_goal_type, reachable_goals
 from grit.trajectory import build_datasets, first_goal_entry, history_for, sample_points
@@ -93,12 +93,12 @@ def test_tree_less_inference_extracts_no_features(world, monkeypatch):
     assert queries > 100 and extracted > 100
 
 
-def _nested_loop(scope, metadata):
+def _nested_loop(scope):
     """The variable table as verify built it before scope_variables."""
     table = {}
     for pair in scope:
         for f in FEATURE_NAMES:
-            key = var_key(pair, f, metadata)
+            key = var_key(pair, f)
             if key not in table:
                 table[key] = f
     return table
@@ -109,8 +109,8 @@ PAIRS = st.tuples(st.sampled_from(["G_a", "G_b", "G:c", ""]), st.sampled_from(li
 
 @given(scope=st.lists(PAIRS, max_size=8))
 def test_scope_variables_equal_the_nested_loop(scope):
-    table = scope_variables(scope, DEFAULT_METADATA)
-    assert list(table.items()) == list(_nested_loop(scope, DEFAULT_METADATA).items())
+    table = scope_variables(scope)
+    assert list(table.items()) == list(_nested_loop(scope).items())
 
 
 @pytest.mark.parametrize("gtype", list(GoalType))

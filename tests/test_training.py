@@ -473,6 +473,22 @@ def test_dropped_tree_frees_its_counts():
         gc.enable()
 
 
+
+def test_fit_tree_leaves_no_reference_cycle():
+    # grow is a closure that calls itself; kept alive after fit_tree
+    # returned, it would hold the columns until the cyclic collector ran
+    rng = np.random.default_rng(0)
+    rows = [{"speed": float(v), "acceleration": float(a)} for v, a in rng.normal(size=(200, 2))]
+    labels = [row["speed"] + row["acceleration"] > 0 for row in rows]
+    gc.collect()
+    gc.disable()
+    try:
+        assert fit_tree(rows, labels, TrainConfig(max_depth=3)).depth() == 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- priors ------------------------------------------------------------------------
 
 

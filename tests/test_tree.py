@@ -138,16 +138,16 @@ def test_decision_rule_validation():
 
 
 def test_threshold_rule_is_strict_less_than():
-    rule = DecisionRule("speed", "threshold", 5.0)
-    assert rule.test({"speed": 4.999})
-    assert not rule.test({"speed": 5.0})
-    assert not rule.test({"speed": 5.001})
+    tree = stump("speed", 5.0, 0.8, 0.2)
+    assert traverse(tree, {"speed": 4.999})[0] == 0.8
+    assert traverse(tree, {"speed": 5.0})[0] == 0.2
+    assert traverse(tree, {"speed": 5.001})[0] == 0.2
 
 
 def test_boolean_rule_reads_flag():
-    rule = DecisionRule("in_correct_lane", "boolean")
-    assert rule.test({"in_correct_lane": True})
-    assert not rule.test({"in_correct_lane": False})
+    tree = dataclasses.replace(stump(), rule=DecisionRule("in_correct_lane", "boolean"))
+    assert traverse(tree, {"in_correct_lane": True})[0] == 0.8
+    assert traverse(tree, {"in_correct_lane": False})[0] == 0.2
 
 
 def test_traverse_returns_leaf_and_path():

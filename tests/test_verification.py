@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 import grit.inference
 import grit.verification
 from grit.errors import PropositionError
-from grit.assets import proposition_assets, smt_pair_assets
+from grit.assets import proposition_assets, smt_pair_asset, smt_pair_assets
 from grit.features import DEFAULT_METADATA, FEATURE_NAMES
 from grit.inference import posterior
 from grit.scenario import GoalType
@@ -153,10 +154,10 @@ def in_box(box, assignment):
 
 
 def test_enumerate_paths_degenerate_trees():
-    missing = enumerate_paths(None, A, DEFAULT_METADATA)
+    missing = enumerate_paths(None, A)
     assert len(missing) == 1
     assert missing[0].likelihood == 0.5 and missing[0].leaf_index == 0
-    single = enumerate_paths(TreeNode(likelihood=0.5), A, DEFAULT_METADATA)
+    single = enumerate_paths(TreeNode(likelihood=0.5), A)
     assert len(single) == 1
     assert set(single[0].constraints) == {
         var_key(A, f, DEFAULT_METADATA) for f in FEATURE_NAMES
@@ -182,7 +183,7 @@ def test_boxes_partition_the_feature_space(fixture_model, x):
     # every point lands in exactly one box per tree, and that box holds the
     # leaf likelihood the production traversal computes
     for pair, tree in sorted(fixture_model.trees.items()):
-        boxes = enumerate_paths(tree, pair, fixture_model.metadata)
+        boxes = enumerate_paths(tree, pair)
         assert len(boxes) == tree.leaf_count()
         assignment = {
             var_key(pair, f, fixture_model.metadata): v for f, v in x.items()
@@ -194,7 +195,7 @@ def test_boxes_partition_the_feature_space(fixture_model, x):
 
 
 def test_boxes_order_is_true_branch_first():
-    boxes = enumerate_paths(stump("speed", 5.0, 0.9, 0.1), A, DEFAULT_METADATA)
+    boxes = enumerate_paths(stump("speed", 5.0, 0.9, 0.1), A)
     assert [b.likelihood for b in boxes] == [0.9, 0.1]
     assert [b.leaf_index for b in boxes] == [0, 1]
     assert boxes[0].constraints["speed"] == Interval(0.0, 5.0, False, True)
@@ -315,7 +316,7 @@ def brute_force_verdict(model, prop):
             env[key] = env[key].intersect(atom.to_interval())
 
     all_boxes = [
-        enumerate_paths(model.trees.get(pair), pair, model.metadata)
+        enumerate_paths(model.trees.get(pair), pair)
         for pair in scope
     ]
     checked = 0
@@ -512,6 +513,26 @@ def test_bundled_propositions_replay_their_witnesses(fixture_model):
         "angled_turn_dominates": True,
         "turn_lane_dominates": False,
     }
+
+
+@pytest.mark.parametrize("run", ["enumerate_paths", "verify", "export_smtlib"])
+def test_recursive_walks_leave_no_reference_cycle(run):
+    # each walk is a closure that calls itself; kept alive after the call,
+    # it would hold its inputs until the cyclic collector ran
+    model, prop = smt_pair_asset("pair1")
+    pair = prop.scope[0]
+    calls = {
+        "enumerate_paths": lambda: enumerate_paths(model.trees[pair], pair),
+        "verify": lambda: verify(model, prop),
+        "export_smtlib": lambda: export_smtlib(model, prop),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        calls[run]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- SMT-LIB export -----------------------------------------------------------------------
